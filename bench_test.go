@@ -163,20 +163,20 @@ func BenchmarkOverheadQTableOps(b *testing.B) {
 			table.Update("s|u1|m0|n0|d2", "CPU@2", 1.5, "s|u0|m0|n0|d2", "CPU@2", 0.9, 0.1)
 		}
 	})
-	b.Run("update-dense", func(b *testing.B) {
+	b.Run("update-store", func(b *testing.B) {
 		b.ReportAllocs()
-		s := rng.New(7)
-		table := qlearn.NewDense(len(core.Actions()), s)
+		store := qlearn.NewStore(len(core.Actions()))
+		slot := store.Agent(0, 0, rng.New(7))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			table.Update(17, 2, 1.5, 23, 2, 0.9, 0.1)
+			store.UpdateAt(store.Touch(slot, 17), 2, 1.5, store.Touch(slot, 23), 2, 0.9, 0.1)
 		}
 	})
 }
 
 // BenchmarkControllerSelect isolates the AutoFL decision step at paper
-// scale (200 devices, K=20): packed state encoding, dense-table
-// argmax, ranking. Steady state must report 0 allocs/op (pinned by
+// scale (200 devices, K=20): packed state encoding, Q-store argmax,
+// top-K ranking. Steady state must report 0 allocs/op (pinned by
 // TestControllerSteadyStateAllocFree).
 func BenchmarkControllerSelect(b *testing.B) {
 	b.ReportAllocs()

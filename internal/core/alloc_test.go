@@ -99,3 +99,60 @@ func TestStepperSteadyStateAllocFree(t *testing.T) {
 		t.Errorf("steady-state Run.Step allocated %.2f/run, want 0", avg)
 	}
 }
+
+// TestControllerPopulationSelectAllocs bounds the decision step's
+// allocations at population scale, where almost every candidate is a
+// device the controller has never seen: each Select below sees 4096
+// new devices, so it creates 4096 agents and 4096 rows. The store's
+// growth is amortized, so a Select must stay within a small constant
+// number of allocations, not one heap object graph per device.
+func TestControllerPopulationSelectAllocs(t *testing.T) {
+	const n = 4096
+	pop, err := device.NewPopulation(n/4, n/4, n/2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.Config{
+		Workload:       workload.CNNMNIST(),
+		Params:         workload.S3,
+		Population:     pop,
+		Sample:         n,
+		Data:           data.NonIID50,
+		Env:            sim.EnvField(),
+		Seed:           5,
+		MaxRounds:      1,
+		TargetAccuracy: 1.1,
+	}
+	// Always exploit, so every Select ranks — and creates agents and
+	// rows for — all of its candidates.
+	opts := DefaultOptions(6)
+	opts.Epsilon = 0
+	ctrl := New(opts)
+	ctx, _ := sim.New(cfg).RunRound(ctrl, 0, cfg.Workload.AccuracyFloor)
+
+	// A private copy of the candidate view whose device IDs are
+	// relabelled before every Select.
+	view := *ctx
+	view.Devices = append([]sim.DeviceState(nil), ctx.Devices...)
+	devs := make([]device.Device, n)
+	for i := range view.Devices {
+		devs[i] = *view.Devices[i].Device
+		view.Devices[i].Device = &devs[i]
+	}
+	next := 1 << 30
+	const runs = 32
+	avg := testing.AllocsPerRun(runs, func() {
+		for i := range devs {
+			devs[i].ID = next
+			next++
+		}
+		_ = ctrl.Select(&view)
+	})
+	if got := ctrl.store.Agents(); got < runs*n {
+		t.Fatalf("only %d agents after %d Selects of %d new devices", got, runs, n)
+	}
+	t.Logf("%.1f allocs per Select of %d new candidates", avg, n)
+	if avg > 64 {
+		t.Errorf("population Select allocated %.1f/run, want <= 64", avg)
+	}
+}

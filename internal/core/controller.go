@@ -92,24 +92,37 @@ func DefaultOptions(seed uint64) Options {
 
 // Controller is the AutoFL policy. It implements sim.FeedbackPolicy.
 //
-// The decision hot path is allocation-free in steady state: states are
-// packed qlearn.StateKeys (StateCoder), Q-tables are dense slices
-// (qlearn.Dense), and every per-round structure — state keys, the
-// device ranking, the selection list, the pending (S, A, R) record —
-// lives in controller-owned buffers reused across rounds.
+// States are packed qlearn.StateKeys (StateCoder), and every agent's
+// Q-table lives in one flat qlearn.Store, so a device seen for the
+// first time costs a store record and its rows, not heap objects of
+// its own. Every per-round structure — state keys, the device ranking,
+// the selection list, the pending (S, A, R) record — lives in
+// controller-owned buffers reused across rounds. Once every candidate
+// the controller sees has its agent and its visited-state rows (a
+// fixed fleet after warm-up), Select and Feedback do not allocate; in
+// sampled populations, where most candidates are new, allocation is
+// amortized O(1) per new agent or row.
 type Controller struct {
 	opts    Options
 	buckets Buckets
 	coder   StateCoder
-	actions []qlearn.Action            // fixed action ordering (index space)
-	agents  map[int]*qlearn.DenseAgent // keyed by device ID or category
+	actions []qlearn.Action // fixed action ordering (index space)
+	// store holds one agent per device ID, or per performance category
+	// with SharedTables (see agentKey). Each agent's value prior is an
+	// exponential moving average of its rewards, used as the
+	// initialization base for its Q-table rows: device-constant traits
+	// (data quality, hardware efficiency) generalize across the
+	// runtime-variance states, instead of a punished device looking
+	// neutral again the moment its co-runner bucket flips.
+	store   *qlearn.Store
 	explore *rng.Stream
 
 	// Pending round bookkeeping: one round's (S, A) pairs held until
 	// the next round's observation provides (S', A') for the Algorithm
 	// 1 update. Parallel slices in selection order, reused across
 	// rounds.
-	pendIdx     []int // selected device indices
+	pendIdx     []int   // selected device indices
+	pendSlot    []int32 // their store agents
 	pendKey     []qlearn.StateKey
 	pendAct     []int8 // action indices
 	pendReward  []float64
@@ -121,8 +134,11 @@ type Controller struct {
 	// per controller, so equally-valued devices keep a consistent
 	// order: the learned cohort stays stable round over round, which
 	// is what lets FedAvg converge on its union data distribution
-	// under heavy non-IID populations. Drawn lazily on first use,
-	// indexed by device.
+	// under heavy non-IID populations. Drawn lazily on first use and
+	// indexed by candidate index: with a fixed fleet that is the
+	// device, but in sampled runs (sim.Config.Sample) it is the
+	// candidate's slot in the round's view, so a slot keeps its
+	// priority as different devices are sampled into it.
 	tiePriority []float64
 	tieDrawn    []bool
 
@@ -130,14 +146,6 @@ type Controller struct {
 	// scale; initialized from the first observed round.
 	refGlobalEnergy float64
 	refLocalEnergy  float64
-
-	// deviceValue is an exponential moving average of each device's
-	// rewards, used as the initialization prior for its Q-table rows:
-	// device-constant traits (data quality, hardware efficiency)
-	// generalize across the runtime-variance states, instead of a
-	// punished device looking neutral again the moment its co-runner
-	// bucket flips. Keyed like agents (device ID or category).
-	deviceValue map[int]float64
 
 	// stallStreak counts consecutive rounds without accuracy
 	// improvement. Eq (7)'s hard stalled branch applies only once the
@@ -169,14 +177,14 @@ func New(opts Options) *Controller {
 	if opts.Buckets != nil {
 		b = *opts.Buckets
 	}
+	actions := Actions()
 	return &Controller{
-		opts:        opts,
-		buckets:     b,
-		coder:       NewStateCoder(b),
-		actions:     Actions(),
-		agents:      make(map[int]*qlearn.DenseAgent),
-		explore:     rng.New(opts.Seed ^ 0xa07f1),
-		deviceValue: make(map[int]float64),
+		opts:    opts,
+		buckets: b,
+		coder:   NewStateCoder(b),
+		actions: actions,
+		store:   qlearn.NewStore(len(actions)),
+		explore: rng.New(opts.Seed ^ 0xa07f1),
 	}
 }
 
@@ -191,40 +199,22 @@ func (c *Controller) RewardTrace() []float64 { return c.rewardTrace }
 func (c *Controller) Explored() bool { return c.lastExplored }
 
 // MemoryBytes estimates the controller's Q-table footprint (§6.4).
-func (c *Controller) MemoryBytes() int {
-	total := 0
-	for _, a := range c.agents {
-		total += a.Table.MemoryBytes()
-	}
-	return total
-}
+func (c *Controller) MemoryBytes() int { return c.store.MemoryBytes() }
 
-// agentFor returns the Q-learning agent for a device, creating it on
-// first use. With SharedTables, devices of the same performance
-// category share one agent.
-func (c *Controller) agentFor(ds *sim.DeviceState) *qlearn.DenseAgent {
-	key := c.agentKey(ds)
-	if _, ok := c.deviceValue[key]; !ok {
-		// Informed prior: the FL protocol reports each device's
-		// data-class count to the server (paper footnote 3), and class
-		// coverage is the single strongest predictor of a device's
-		// usefulness under data heterogeneity (§3.3). Seeding the
-		// value prior with it gives the ranking a sensible starting
-		// order that reward feedback then corrects for energy,
-		// interference and network behaviour. The scale matches a
-		// typical improving-round reward.
-		c.deviceValue[key] = 0.5 * ds.Data.ClassFraction
-	}
-	a, ok := c.agents[key]
-	if !ok {
-		a = qlearn.NewDenseAgent(len(c.actions), c.explore)
-		a.Epsilon = c.opts.Epsilon
-		a.LearningRate = c.opts.LearningRate
-		a.Discount = c.opts.Discount
-		a.Table.Init = func() float64 { return c.deviceValue[key] }
-		c.agents[key] = a
-	}
-	return a
+// agentFor returns the store slot of a device's Q-learning agent,
+// creating it on first use (four draws from the explore stream). With
+// SharedTables, devices of the same performance category share one
+// agent.
+//
+// A new agent's value prior is informed: the FL protocol reports each
+// device's data-class count to the server (paper footnote 3), and
+// class coverage is the single strongest predictor of a device's
+// usefulness under data heterogeneity (§3.3). Seeding the prior with
+// it gives the ranking a sensible starting order that reward feedback
+// then corrects for energy, interference and network behaviour. The
+// scale matches a typical improving-round reward.
+func (c *Controller) agentFor(ds *sim.DeviceState) int32 {
+	return c.store.Agent(c.agentKey(ds), 0.5*ds.Data.ClassFraction, c.explore)
 }
 
 func (c *Controller) agentKey(ds *sim.DeviceState) int {
@@ -255,14 +245,15 @@ func (c *Controller) ensureFleet(n int) {
 
 // stage records one selected device's (S, A) pair for the next round's
 // value update.
-func (c *Controller) stage(idx int, key qlearn.StateKey, act int) {
+func (c *Controller) stage(idx int, slot int32, key qlearn.StateKey, act int) {
 	c.pendIdx = append(c.pendIdx, idx)
+	c.pendSlot = append(c.pendSlot, slot)
 	c.pendKey = append(c.pendKey, key)
 	c.pendAct = append(c.pendAct, int8(act))
 }
 
 // Select implements Algorithm 1's decision step: with probability ε
-// pick K random participants and random actions; otherwise sort
+// pick K random participants and random actions; otherwise rank
 // devices by Q(S_global, S_local, A) and take the top K with their
 // argmax actions. It also completes the previous round's value update,
 // for which this round's states provide (S', A').
@@ -281,6 +272,7 @@ func (c *Controller) Select(ctx *sim.RoundContext) []sim.Selection {
 	c.completePendingUpdate(ctx)
 
 	c.pendIdx = c.pendIdx[:0]
+	c.pendSlot = c.pendSlot[:0]
 	c.pendKey = c.pendKey[:0]
 	c.pendAct = c.pendAct[:0]
 	c.pendReward = c.pendReward[:0]
@@ -297,31 +289,31 @@ func (c *Controller) Select(ctx *sim.RoundContext) []sim.Selection {
 		}
 		c.explore.PermInto(c.permBuf)
 		for _, i := range c.permBuf[:k] {
-			agent := c.agentFor(&ctx.Devices[i])
-			action := agent.RandomAction()
+			slot := c.agentFor(&ctx.Devices[i])
+			action := c.store.RandomAction(slot)
 			target, step := DecodeAction(c.actions[action], ctx.Devices[i].Device.Spec)
 			selections = append(selections, sim.Selection{Index: i, Target: target, Step: step})
-			c.stage(i, c.keys[i], action)
+			c.stage(i, slot, c.keys[i], action)
 		}
 		c.selBuf = selections
 		return selections
 	}
 
-	// Exploitation: rank all devices by their best Q-value. Touch pins
-	// each state's row materialization to the decision step, so pure
-	// reads elsewhere never perturb the init stream.
+	// Exploitation: rank all devices by their best Q-value. Every
+	// candidate is visited in index order — agent creation, row
+	// materialization (Touch) and its tie priority each draw from a
+	// stream, so the order pins those draws to the decision step.
 	for i := range ctx.Devices {
-		agent := c.agentFor(&ctx.Devices[i])
-		row := agent.Table.Touch(c.keys[i])
-		action, value := agent.Table.BestAt(row)
-		c.ranked[i] = ranked{idx: i, value: value, tie: c.tieFor(i), action: int8(action)}
+		slot := c.agentFor(&ctx.Devices[i])
+		row := c.store.Touch(slot, c.keys[i])
+		action, value := c.store.BestAt(row)
+		c.ranked[i] = ranked{idx: i, slot: slot, value: value, tie: c.tieFor(i), action: int8(action)}
 	}
-	sortRanked(c.ranked)
 
-	for _, r := range c.ranked[:min(ctx.Params.K, n)] {
+	for _, r := range topRanked(c.ranked, ctx.Params.K) {
 		target, step := DecodeAction(c.actions[r.action], ctx.Devices[r.idx].Device.Spec)
 		selections = append(selections, sim.Selection{Index: r.idx, Target: target, Step: step})
-		c.stage(r.idx, c.keys[r.idx], int(r.action))
+		c.stage(r.idx, r.slot, c.keys[r.idx], int(r.action))
 	}
 	c.selBuf = selections
 	return selections
@@ -332,6 +324,7 @@ type ranked struct {
 	idx    int
 	value  float64
 	tie    float64
+	slot   int32
 	action int8
 }
 
@@ -345,20 +338,40 @@ func (c *Controller) tieFor(idx int) float64 {
 	return c.tiePriority[idx]
 }
 
-// sortRanked sorts descending by (value, tie) with an insertion sort:
-// fast for the ~200-device fleets this runs on.
-func sortRanked(r []ranked) {
-	less := func(a, b ranked) bool {
-		if a.value != b.value {
-			return a.value > b.value
-		}
-		return a.tie > b.tie
+// ahead reports whether a ranks strictly before b: higher value, then
+// higher tie priority.
+func ahead(a, b *ranked) bool {
+	if a.value != b.value {
+		return a.value > b.value
+	}
+	return a.tie > b.tie
+}
+
+// topRanked returns the first min(k, len(r)) entries of r's stable
+// ranking — value descending, then tie descending, then position in r
+// ascending — built in place in r's prefix; the entries after it are
+// left unspecified. It keeps a sorted k-entry prefix and
+// insertion-places each later entry that beats the prefix's last: one
+// compare for most entries, so O(len(r)·k) in the worst case instead
+// of a full sort's O(len(r)²).
+func topRanked(r []ranked, k int) []ranked {
+	k = max(0, min(k, len(r)))
+	if k == 0 {
+		return r[:0]
 	}
 	for i := 1; i < len(r); i++ {
-		for j := i; j > 0 && less(r[j], r[j-1]); j-- {
-			r[j], r[j-1] = r[j-1], r[j]
+		m := min(i, k) // the prefix r[:m] is sorted
+		if m == k && !ahead(&r[i], &r[k-1]) {
+			continue
 		}
+		x := r[i]
+		j := min(m, k-1) // drop r[k-1] once the prefix is full
+		for ; j > 0 && ahead(&x, &r[j-1]); j-- {
+			r[j] = r[j-1]
+		}
+		r[j] = x
 	}
+	return r[:k]
 }
 
 // Feedback implements the measurement step: compute the Eq (5)–(7)
@@ -462,12 +475,11 @@ func (c *Controller) Feedback(ctx *sim.RoundContext, res *sim.RoundResult) {
 	if n > 0 {
 		mean := sum / float64(n)
 		const valueEMA = 0.05
-		for j, idx := range c.pendIdx {
+		for j, slot := range c.pendSlot {
 			c.pendReward[j] -= mean
-			key := c.agentKey(&ctx.Devices[idx])
 			// The prior EMA moves slowly: single noisy rounds must
 			// not reshuffle the device ranking.
-			c.deviceValue[key] = (1-valueEMA)*c.deviceValue[key] + valueEMA*c.pendReward[j]
+			c.store.SetPrior(slot, (1-valueEMA)*c.store.Prior(slot)+valueEMA*c.pendReward[j])
 		}
 	}
 }
@@ -482,12 +494,12 @@ func (c *Controller) completePendingUpdate(ctx *sim.RoundContext) {
 		return
 	}
 	for j, idx := range c.pendIdx {
-		agent := c.agentFor(&ctx.Devices[idx])
-		rowNext := agent.Table.Touch(c.keys[idx])
-		aNext, _ := agent.Table.BestAt(rowNext)
-		rowS := agent.Table.Touch(c.pendKey[j])
-		agent.Table.UpdateAt(rowS, int(c.pendAct[j]), c.pendReward[j],
-			rowNext, aNext, agent.LearningRate, agent.Discount)
+		slot := c.agentFor(&ctx.Devices[idx])
+		rowNext := c.store.Touch(slot, c.keys[idx])
+		aNext, _ := c.store.BestAt(rowNext)
+		rowS := c.store.Touch(slot, c.pendKey[j])
+		c.store.UpdateAt(rowS, int(c.pendAct[j]), c.pendReward[j],
+			rowNext, aNext, c.opts.LearningRate, c.opts.Discount)
 	}
 	c.havePending = false
 	c.pendReady = false

@@ -303,12 +303,12 @@ func TestSharedTablesUseFewerAgents(t *testing.T) {
 	}())
 	sim.New(c).Run(perDevice)
 	sim.New(c).Run(shared)
-	if len(shared.agents) > device.NumCategories {
+	if shared.store.Agents() > device.NumCategories {
 		t.Errorf("shared-table mode created %d agents, want <= %d",
-			len(shared.agents), device.NumCategories)
+			shared.store.Agents(), device.NumCategories)
 	}
-	if len(perDevice.agents) <= device.NumCategories {
-		t.Errorf("per-device mode created only %d agents", len(perDevice.agents))
+	if perDevice.store.Agents() <= device.NumCategories {
+		t.Errorf("per-device mode created only %d agents", perDevice.store.Agents())
 	}
 	if shared.MemoryBytes() >= perDevice.MemoryBytes() {
 		t.Errorf("shared tables (%dB) should use less memory than per-device (%dB)",

@@ -42,7 +42,7 @@ type Action string
 //
 // Table keys states by string and is kept for debugging,
 // serialization, and tests; the controller hot path uses the packed
-// Dense table instead.
+// Store instead.
 type Table struct {
 	q       map[State]map[Action]float64
 	actions []Action // caller-supplied order (the action index space)

@@ -20,7 +20,7 @@ import (
 	"autofl/internal/sweep/cache"
 )
 
-// testGrid is a 24-cell grid matching the engine tests' shape: enough
+// testGrid is a 12-cell grid matching the engine tests' shape: enough
 // cells for both workers to claim real work.
 func testGrid() sweep.Grid {
 	return sweep.Grid{
@@ -113,8 +113,32 @@ func TestLoopbackDistributedSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w1 := startWorker(t, 2, fakeRunners)
-	w2 := startWorker(t, 2, fakeRunners)
+	// The fake runner is instant, so one worker could drain the whole
+	// grid before the other connects. Each worker holds its first cell
+	// until both have one in flight; the link's capacity bound then
+	// leaves cells for the other worker to claim.
+	both := make(chan struct{})
+	var started atomic.Int32
+	holdFirst := func() RunnerFor {
+		var first sync.Once
+		return func(int, bool) sweep.Runner {
+			return func(ctx context.Context, c sweep.Cell, seed uint64) (sweep.Outcome, error) {
+				first.Do(func() {
+					if started.Add(1) == 2 {
+						close(both)
+					}
+					select {
+					case <-both:
+					case <-time.After(10 * time.Second):
+						t.Error("timed out waiting for both workers to have a cell in flight")
+					}
+				})
+				return fakeRunner(ctx, c, seed)
+			}
+		}
+	}
+	w1 := startWorker(t, 2, holdFirst())
+	w2 := startWorker(t, 2, holdFirst())
 	re := &RemoteExecutor{Addrs: []string{w1.Addr(), w2.Addr()}, Rounds: 100}
 	dist, err := sweep.Run(context.Background(), g, noLocal(t), sweep.Options{Executor: re})
 	if err != nil {
@@ -132,11 +156,16 @@ func TestLoopbackDistributedSweep(t *testing.T) {
 	if total != g.Size() {
 		t.Errorf("per-worker counts sum to %d, want %d (counts: %v)", total, g.Size(), counts)
 	}
+	// A worker counts a cell as served after writing its result, so
+	// the coordinator can finish a moment before the last count lands.
+	for deadline := time.Now().Add(5 * time.Second); w1.Served()+w2.Served() < g.Size() && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if w1.Served()+w2.Served() != g.Size() {
 		t.Errorf("workers served %d+%d cells, want %d", w1.Served(), w2.Served(), g.Size())
 	}
 	if len(counts) != 2 || counts[w1.Addr()] == 0 || counts[w2.Addr()] == 0 {
-		t.Errorf("both workers should claim cells on a 24-cell grid: %v", counts)
+		t.Errorf("both workers should claim cells on a %d-cell grid: %v", g.Size(), counts)
 	}
 }
 
