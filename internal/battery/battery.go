@@ -156,18 +156,34 @@ func (m *Model) Available(i int) bool { return float64(m.chargeJ[i]) >= m.spec.T
 // Depleted reports whether device i's settled charge is exhausted.
 func (m *Model) Depleted(i int) bool { return m.chargeJ[i] <= 0 }
 
+// Raw returns device i's packed state as stored: its charge and the
+// virtual time of its last settle, neither advanced. A caller settling
+// many devices can load all their state first, so the scattered reads
+// overlap, and then settle each with SettleFrom.
+func (m *Model) Raw(i int) (chargeJ, lastSec float32) { return m.chargeJ[i], m.lastSec[i] }
+
 // SettleAt integrates device i's idle drain (idleW watts) and harvest
 // inflow from its last settle time up to virtual time tSec, clamps to
 // [0, capacity], and returns the settled charge in joules. Settling is
 // idempotent: a second call at the same tSec returns the same charge.
 func (m *Model) SettleAt(i int, idleW, tSec float64) float64 {
-	last := float64(m.lastSec[i])
-	if tSec > last {
-		c := float64(m.chargeJ[i]) - idleW*(tSec-last) + m.harvestJ(i, last, tSec)
-		m.chargeJ[i] = float32(math.Min(math.Max(c, 0), m.spec.CapacityJ))
-		m.lastSec[i] = float32(tSec)
+	return m.SettleFrom(i, m.chargeJ[i], m.lastSec[i], idleW, tSec)
+}
+
+// SettleFrom is SettleAt for a device whose state chargeJ, lastSec was
+// read with Raw and has not changed since: it settles from those
+// values instead of reloading them, stores the result, and returns
+// the settled charge.
+func (m *Model) SettleFrom(i int, chargeJ, lastSec float32, idleW, tSec float64) float64 {
+	last := float64(lastSec)
+	if tSec <= last {
+		return float64(chargeJ)
 	}
-	return float64(m.chargeJ[i])
+	c := float64(chargeJ) - idleW*(tSec-last) + m.harvestJ(i, last, tSec)
+	settled := float32(math.Min(math.Max(c, 0), m.spec.CapacityJ))
+	m.chargeJ[i] = settled
+	m.lastSec[i] = float32(tSec)
+	return float64(settled)
 }
 
 // Drain subtracts j joules from device i (negative j is ignored),

@@ -1,6 +1,9 @@
 package rng
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestMixSpreadsEveryArgument(t *testing.T) {
 	base := Mix(1, 2, 3)
@@ -62,10 +65,10 @@ func TestSamplerDrawsDistinctInRange(t *testing.T) {
 	}
 }
 
-// TestSamplerUndoRestoresIdentity pins the undo pass: one Sampler
-// drawing twice from identically seeded streams must produce identical
-// samples, which only holds if each draw starts from the identity
-// array.
+// TestSamplerUndoRestoresIdentity pins the clearing of the
+// displacement table: one Sampler drawing twice from identically
+// seeded streams must produce identical samples, which only holds if
+// each draw starts from the identity array (an empty table).
 func TestSamplerUndoRestoresIdentity(t *testing.T) {
 	sp := NewSampler(500)
 	a, b := make([]int32, 64), make([]int32, 64)
@@ -125,4 +128,112 @@ func TestSamplerPanicsOnOversizedDraw(t *testing.T) {
 		}
 	}()
 	NewSampler(3).SampleInto(New(1), make([]int32, 4))
+}
+
+// denseSampler is the reference the sparse Sampler must reproduce: a
+// partial Fisher–Yates shuffle over a materialized identity array,
+// undone after each draw, returning the k drawn indices in draw order.
+type denseSampler struct {
+	idx  []int32
+	swap []int32
+}
+
+func newDenseSampler(n int) *denseSampler {
+	idx := make([]int32, n)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	return &denseSampler{idx: idx}
+}
+
+func (sp *denseSampler) sampleInto(s *Stream, out []int32) {
+	k, n := len(out), len(sp.idx)
+	if cap(sp.swap) < k {
+		sp.swap = make([]int32, k)
+	}
+	swap := sp.swap[:k]
+	for i := 0; i < k; i++ {
+		j := i + s.IntN(n-i)
+		swap[i] = int32(j)
+		sp.idx[i], sp.idx[j] = sp.idx[j], sp.idx[i]
+		out[i] = sp.idx[i]
+	}
+	for i := k - 1; i >= 0; i-- {
+		j := swap[i]
+		sp.idx[i], sp.idx[j] = sp.idx[j], sp.idx[i]
+	}
+}
+
+// checkAgainstDense draws k from both samplers on identically seeded
+// streams and requires the sparse output to be exactly the sorted
+// reference output, with the streams left in the same state.
+func checkAgainstDense(t *testing.T, sp *Sampler, ref *denseSampler, seed uint64, k int) {
+	t.Helper()
+	want, got := make([]int32, k), make([]int32, k)
+	rs, ss := New(seed), New(seed)
+	ref.sampleInto(rs, want)
+	sp.SampleInto(ss, got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("n=%d k=%d seed=%d: sparse draw differs from the sorted dense draw", sp.Len(), k, seed)
+	}
+	if rs.Uint64() != ss.Uint64() {
+		t.Fatalf("n=%d k=%d seed=%d: samplers consumed different draw counts", sp.Len(), k, seed)
+	}
+}
+
+// TestSamplerMatchesDenseReference pins the sparse sampler to the dense
+// Fisher–Yates shuffle it replaces: same draws consumed, same set,
+// returned in ascending order.
+func TestSamplerMatchesDenseReference(t *testing.T) {
+	cases := []struct{ n, k int }{
+		{1, 0}, {1, 1},
+		{100, 0}, {100, 1}, {100, 100},
+		{4096, 4096},
+		{1_000_000, 4096},
+	}
+	for _, c := range cases {
+		checkAgainstDense(t, NewSampler(c.n), newDenseSampler(c.n), uint64(c.n*31+c.k), c.k)
+	}
+
+	// Many draws of varying k on one Sampler: the table and sort buffer
+	// grow and shrink in use, and every draw must start clean.
+	const n = 300_000
+	sp, ref := NewSampler(n), newDenseSampler(n)
+	sizes := New(5)
+	for d := 0; d < 200; d++ {
+		k := sizes.IntN(5000)
+		if d%50 == 0 {
+			k = 0
+		}
+		checkAgainstDense(t, sp, ref, uint64(d), k)
+	}
+}
+
+// TestSamplerSteadyStateAllocs pins the sampler's allocation contract:
+// construction allocates nothing proportional to n, and repeat draws
+// no larger than an earlier one allocate nothing.
+func TestSamplerSteadyStateAllocs(t *testing.T) {
+	sp := NewSampler(1_000_000)
+	out := make([]int32, 4096)
+	s := New(1)
+	sp.SampleInto(s, out)
+	if avg := testing.AllocsPerRun(20, func() { sp.SampleInto(s, out) }); avg != 0 {
+		t.Errorf("steady-state draw allocates %v objects, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(20, func() { sp.SampleInto(s, out[:100]) }); avg != 0 {
+		t.Errorf("smaller draw allocates %v objects, want 0", avg)
+	}
+}
+
+// BenchmarkSampler1M times one population-engine-sized draw: 4,096
+// candidates from a million devices, sorted.
+func BenchmarkSampler1M(b *testing.B) {
+	sp := NewSampler(1_000_000)
+	out := make([]int32, 4096)
+	s := New(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sp.SampleInto(s, out)
+	}
 }

@@ -28,6 +28,7 @@ func batterySeed(runSeed uint64) uint64 { return rng.Mix(runSeed, 0xba77e, 0x5ee
 // to read and O(participants) to update.
 type battState struct {
 	model *battery.Model
+	spec  battery.Spec // the model's defaulted spec
 	// partCount is each device's cumulative selection count; partSum
 	// and partSumSq are its running Σx and Σx² moments.
 	partCount []uint32
@@ -36,8 +37,10 @@ type battState struct {
 }
 
 func newBattState(spec battery.Spec, runSeed uint64, n int) *battState {
+	m := battery.New(spec, batterySeed(runSeed), n)
 	return &battState{
-		model:     battery.New(spec, batterySeed(runSeed), n),
+		model:     m,
+		spec:      m.Spec(),
 		partCount: make([]uint32, n),
 	}
 }
@@ -75,10 +78,15 @@ func BatteryJainFromMoments(sum, sumSq float64, n int) float64 {
 // is called from the (possibly parallel) observe pass: device indices
 // are disjoint across shards, so the per-device mutation never races.
 func (e *Engine) observeBattery(ds *DeviceState, g int, idleW float64) {
-	m := e.batt.model
-	m.SettleAt(g, idleW, e.vnow)
-	ds.Battery = m.Frac(g)
-	ds.Unavailable = !m.Available(g)
+	e.battView(ds, e.batt.model.SettleAt(g, idleW, e.vnow))
+}
+
+// battView records a device's settled charge chargeJ in its view row:
+// the state of charge and the participation-threshold gate.
+func (e *Engine) battView(ds *DeviceState, chargeJ float64) {
+	spec := &e.batt.spec
+	ds.Battery = chargeJ / spec.CapacityJ
+	ds.Unavailable = !(chargeJ >= spec.ThresholdJ)
 }
 
 // battViewStats summarizes a candidate view's battery state at

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"autofl/internal/battery"
 )
@@ -39,6 +40,10 @@ func (c *Config) validate() error {
 	}
 	if n == 0 {
 		return configErrf("Fleet", "empty fleet: the round engine needs at least one device")
+	}
+	if n > math.MaxInt32 {
+		// Candidate pools and the sampler index devices with int32.
+		return configErrf("Population", "%d devices overflow the int32 device index (max %d)", n, math.MaxInt32)
 	}
 	if c.Params.K <= 0 {
 		return configErrf("Params.K", "participant count %d is not positive", c.Params.K)

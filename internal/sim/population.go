@@ -5,10 +5,11 @@ package sim
 // Sample. Where the legacy path walks a []*Device fleet exhaustively —
 // two RNG draws and a DeviceState per device per round — the
 // population path keeps the fleet as an archetype table plus packed
-// struct-of-arrays per-device state (~42 bytes/device resident), draws
-// a K'-candidate pool per round with an O(K') partial Fisher–Yates
-// sampler, and presents policies a candidate-sized RoundContext view,
-// so the whole round is O(Sample + participants), not O(fleet).
+// struct-of-arrays per-device state (~38 bytes/device resident), draws
+// a K'-candidate pool per round with an O(K') sparse partial
+// Fisher–Yates sampler, and presents policies a candidate-sized
+// RoundContext view, so the whole round is O(Sample + participants),
+// not O(fleet).
 //
 // Determinism is by construction: every per-device draw comes from a
 // stream keyed by rng.Mix(seedBase, round, deviceIndex), so results
@@ -19,9 +20,9 @@ package sim
 import (
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 
+	"autofl/internal/battery"
 	"autofl/internal/data"
 	"autofl/internal/device"
 	"autofl/internal/network"
@@ -46,7 +47,8 @@ type popState struct {
 	// fleetIdle is the population-wide idle draw, O(archetypes) once.
 	fleetIdle float64
 
-	// sampler draws the per-round candidate pool; sampleRng feeds it.
+	// sampler draws the per-round candidate pool in ascending global
+	// order; sampleRng feeds it.
 	sampler   *rng.Sampler
 	sampleRng *rng.Stream
 	// envSeed/actSeed key the per-(round, device) observation and
@@ -151,9 +153,6 @@ func (e *Engine) observePop(sc *roundScratch, round int, accuracy float64) *Roun
 	}
 	cand = cand[:k]
 	p.sampler.SampleInto(p.sampleRng, cand)
-	// Ascending global order: deterministic, cache-friendly, and
-	// stable for positional policy state (tie priorities, pools).
-	slices.Sort(cand)
 	sc.cand = cand
 
 	devices := sc.ctx.Devices
@@ -161,11 +160,13 @@ func (e *Engine) observePop(sc *roundScratch, round int, accuracy float64) *Roun
 		devices = make([]DeviceState, k)
 	}
 	devices = devices[:k]
-	if cap(sc.devs) < k {
+	if len(sc.devs) < k {
 		sc.devs = make([]device.Device, k)
 		sc.dd = make([]data.DeviceData, k)
+		if e.batt != nil {
+			sc.batt = make([]battRaw, k)
+		}
 	}
-	devs, dd := sc.devs[:k], sc.dd[:k]
 	sc.ctx = RoundContext{
 		Round:     round,
 		Accuracy:  accuracy,
@@ -178,7 +179,7 @@ func (e *Engine) observePop(sc *roundScratch, round int, accuracy float64) *Roun
 	// Serial below the threshold — and through a named method, not a
 	// closure, so the steady-state round stays allocation-free.
 	if p.shards <= 1 || k < popShardMin {
-		e.fillView(0, 0, k, round, cand, devs, dd, devices)
+		e.fillView(0, 0, k, round, sc)
 	} else {
 		var wg sync.WaitGroup
 		for i := 0; i < p.shards; i++ {
@@ -189,50 +190,72 @@ func (e *Engine) observePop(sc *roundScratch, round int, accuracy float64) *Roun
 			wg.Add(1)
 			// Everything but wg and e rides in as arguments: a captured
 			// local would heap-escape on the serial path too.
-			go func(shard, lo, hi, round int, cand []int32, devs []device.Device, dd []data.DeviceData, devices []DeviceState) {
+			go func(shard, lo, hi, round int, sc *roundScratch) {
 				defer wg.Done()
-				e.fillView(shard, lo, hi, round, cand, devs, dd, devices)
-			}(i, lo, hi, round, cand, devs, dd, devices)
+				e.fillView(shard, lo, hi, round, sc)
+			}(i, lo, hi, round, sc)
 		}
 		wg.Wait()
 	}
 	return &sc.ctx
 }
 
-// fillView fills candidate-view rows [lo, hi) of the round's context,
-// drawing each device's observation from its (round, device)-keyed
-// stream via the shard's reseedable generator. Rows are index-disjoint
-// across shards, so parallel fills never race.
-func (e *Engine) fillView(shard, lo, hi, round int, cand []int32, devs []device.Device, dd []data.DeviceData, devices []DeviceState) {
+// battRaw is one candidate's packed battery state as gathered, before
+// settling.
+type battRaw struct{ chargeJ, lastSec float32 }
+
+// fillView fills candidate-view rows [lo, hi) of the round's context.
+// Rows are index-disjoint across shards, so parallel fills never race.
+//
+// It runs two loops. The first only loads: it copies each candidate's
+// packed per-device state into the view rows and scratch, so the
+// scattered reads — one cache miss per array per candidate — issue
+// back to back and overlap. The second computes from those rows: each
+// device's observation drawn from its (round, device)-keyed stream via
+// the shard's reseedable generator, and the battery settled from the
+// gathered state. Keep RNG and settle work out of the first loop: a
+// long body serializes the misses again.
+func (e *Engine) fillView(shard, lo, hi, round int, sc *roundScratch) {
 	p := e.pop
-	rs := p.shardRng[shard]
+	cand, devs, dd, devices := sc.cand, sc.devs, sc.dd, sc.ctx.Devices
+	var batt *battery.Model
+	if e.batt != nil {
+		batt = e.batt.model
+	}
 	for v := lo; v < hi; v++ {
 		g := int(cand[v])
-		st := rs.Seed(rng.Mix(p.envSeed, uint64(round), uint64(g)))
-		bw := e.cfg.Env.Network.Sample(st)
-		load := e.cfg.Env.Interference.Sample(st)
 		devs[v] = device.Device{ID: g, Spec: p.pop.Spec(g)}
 		dd[v] = data.DeviceData{
 			ClassFraction: float64(p.part.ClassFrac[g]),
 			Samples:       int(p.part.Samples[g]),
 			Quality:       float64(p.part.Quality[g]),
 		}
-		devices[v] = DeviceState{
-			Device:        &devs[v],
-			Load:          load,
-			BandwidthMbps: bw,
-			Signal:        network.SignalFor(bw),
-			Data:          &dd[v],
-		}
+		devices[v] = DeviceState{Device: &devs[v], Data: &dd[v]}
 		if e.async != nil {
 			// Reads only: async bookkeeping mutates lastStale during
 			// aggregation, never during the parallel observe pass.
 			devices[v].Staleness = int(e.async.lastStale[g])
 		}
-		if e.batt != nil {
+		if batt != nil {
+			r := &sc.batt[v]
+			r.chargeJ, r.lastSec = batt.Raw(g)
+		}
+	}
+
+	rs := p.shardRng[shard]
+	for v := lo; v < hi; v++ {
+		g := int(cand[v])
+		ds := &devices[v]
+		st := rs.Seed(rng.Mix(p.envSeed, uint64(round), uint64(g)))
+		ds.BandwidthMbps = e.cfg.Env.Network.Sample(st)
+		ds.Load = e.cfg.Env.Interference.Sample(st)
+		ds.Signal = network.SignalFor(ds.BandwidthMbps)
+		if batt != nil {
 			// Candidate indices are distinct and shard-partitioned, so
-			// the per-device settle mutation never races.
-			e.observeBattery(&devices[v], g, devs[v].Spec.IdleWatts())
+			// the per-device settle write-back never races.
+			r := sc.batt[v]
+			c := batt.SettleFrom(g, r.chargeJ, r.lastSec, devs[v].Spec.IdleWatts(), e.vnow)
+			e.battView(ds, c)
 		}
 	}
 }
@@ -442,15 +465,15 @@ func (e *Engine) PackedData() *data.Packed {
 
 // PopulationMemoryBytes is the resident per-device state of the
 // population engine: the packed partition, the participation memory,
-// the last-action record, the cumulative-energy accumulator, and the
-// sampler's index array. Zero for legacy fleet configs.
+// the last-action record, and the cumulative-energy accumulator. Zero
+// for legacy fleet configs.
 func (e *Engine) PopulationMemoryBytes() int {
 	p := e.pop
 	if p == nil {
 		return 0
 	}
 	perDevice := len(p.emaW)*4 + len(p.emaRound)*4 + len(p.lastStep) +
-		len(p.lastTarget) + len(p.extraJ)*8 + p.sampler.Len()*4
+		len(p.lastTarget) + len(p.extraJ)*8
 	if e.async != nil {
 		// Asynchronous regimes add two packed bytes per device: the
 		// busy flag and the last-staleness record.

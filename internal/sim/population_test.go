@@ -1,12 +1,16 @@
 package sim_test
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"autofl/internal/battery"
 	"autofl/internal/data"
 	"autofl/internal/device"
 	"autofl/internal/policy"
@@ -84,15 +88,97 @@ func TestSampledPopulationDeterminism(t *testing.T) {
 
 // TestSampledShardInvariance pins the keyed-stream design: the shard
 // count is a throughput knob, never an output knob. The pool exceeds
-// the serial threshold so the 4-shard run really runs parallel.
+// the serial threshold so the 4-shard run really runs parallel. The
+// cases cover every per-device input the observe pass gathers ahead of
+// its draws: the packed partition alone, the battery's charge and
+// settle time, and the async staleness record.
 func TestSampledShardInvariance(t *testing.T) {
-	serial := popConfig(t, 5000, 2048, 1, 23)
-	sharded := serial
-	sharded.Shards = 4
-	a := mustEngine(t, serial).Run(policy.NewRandom(3))
-	b := mustEngine(t, sharded).Run(policy.NewRandom(3))
-	if !reflect.DeepEqual(a, b) {
-		t.Error("Shards=1 and Shards=4 runs differ")
+	random := func(uint64) sim.Policy { return policy.NewRandom(3) }
+	weighted := func(uint64) sim.Policy { return policy.NewBatteryWeighted(3) }
+	cases := []struct {
+		name   string
+		mut    func(*sim.Config)
+		policy func(uint64) sim.Policy
+	}{
+		{"plain", nil, random},
+		{"solar battery", func(c *sim.Config) {
+			c.Battery = &battery.Spec{CapacityJ: 2000, Harvest: battery.ProfileSolar}
+		}, weighted},
+		{"async", func(c *sim.Config) { c.Mode = sim.ModeAsync }, random},
+		{"async charger battery", func(c *sim.Config) {
+			c.Mode = sim.ModeAsync
+			c.Battery = &battery.Spec{CapacityJ: 2000, Harvest: battery.ProfileCharger}
+		}, weighted},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			serial := popConfig(t, 5000, 2048, 1, 23)
+			if tc.mut != nil {
+				tc.mut(&serial)
+			}
+			sharded := serial
+			sharded.Shards = 4
+			a := mustEngine(t, serial).Run(tc.policy(3))
+			b := mustEngine(t, sharded).Run(tc.policy(3))
+			if !reflect.DeepEqual(a, b) {
+				t.Error("Shards=1 and Shards=4 runs differ")
+			}
+		})
+	}
+}
+
+// engineRoundsPin is an FNV-64a digest of every RoundInfo field over a
+// run shaped like the population-engine benchmark workload, scaled
+// down: 50k tiered devices, 1,024 candidates a round, solar batteries,
+// battery-weighted selection, 40 rounds. It was captured from the
+// engine whose sampler kept a dense identity array and whose observe
+// pass sorted the candidates and settled each battery as it read it,
+// so any change to the candidate set, its order, or the observed
+// per-device state shows up here.
+const engineRoundsPin = "84c82bdade2a2bbf"
+
+func TestPopulationEngineRoundsPinned(t *testing.T) {
+	const n = 50_000
+	high := n * device.DefaultHighCount / 200
+	mid := n * device.DefaultMidCount / 200
+	cfg := sim.Config{
+		Workload:       workload.CNNMNIST(),
+		Params:         workload.S3,
+		Population:     mustPopulation(t, high, mid, n-high-mid),
+		Sample:         1024,
+		Data:           data.IdealIID,
+		Env:            sim.EnvField(),
+		Seed:           7,
+		MaxRounds:      40,
+		TargetAccuracy: 1.1,
+		Battery:        &battery.Spec{CapacityJ: 2000, Harvest: battery.ProfileSolar},
+	}
+	run := mustEngine(t, cfg).Start(policy.NewBatteryWeighted(7))
+	h := fnv.New64a()
+	fold := func(vs ...uint64) {
+		for _, v := range vs {
+			h.Write(binary.LittleEndian.AppendUint64(nil, v))
+		}
+	}
+	f := math.Float64bits
+	for i := 0; i < cfg.MaxRounds; i++ {
+		if !run.Step() {
+			t.Fatalf("run ended after %d rounds", i)
+		}
+		r := run.Last()
+		conv := uint64(0)
+		if r.Converged {
+			conv = 1
+		}
+		fold(uint64(r.Round), f(r.Accuracy), f(r.RoundSec), f(r.EnergyJ),
+			f(r.ParticipantEnergyJ), uint64(r.Participants), uint64(r.Kept),
+			uint64(r.Dropped), f(r.VirtualSec), uint64(r.Pending),
+			f(r.MeanStaleness), uint64(r.BatteryAvailable),
+			uint64(r.BatteryDepleted), f(r.BatteryMeanCharge),
+			f(r.ParticipationJain), conv)
+	}
+	if got := fmt.Sprintf("%016x", h.Sum64()); got != engineRoundsPin {
+		t.Errorf("population-engine run drifted from the pinned engine\n got %s\nwant %s", got, engineRoundsPin)
 	}
 }
 
@@ -141,6 +227,10 @@ func TestConfigValidation(t *testing.T) {
 			Population: pop,
 			Params:     workload.GlobalParams{B: 20, E: 5, K: 50},
 		}, "Params.K"},
+		{"population overflows int32 index", sim.Config{
+			Population: mustPopulation(t, 1<<31, 0, 0),
+			Sample:     64,
+		}, "Population"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -705,6 +705,9 @@ type roundScratch struct {
 	cand []int32
 	devs []device.Device
 	dd   []data.DeviceData
+	// batt holds each candidate's gathered battery state (battery runs
+	// only).
+	batt []battRaw
 }
 
 // New builds an engine. The device data partition is drawn once (local
