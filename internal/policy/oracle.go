@@ -24,36 +24,67 @@ import (
 //     and DVFS step, converting straggler slack into energy savings
 //     (§5.1: "considers available on-device co-processors").
 
-// memberScore ranks devices within a tier for oracle member selection:
-// prefer high IID quality (sharply — selecting biased devices stalls
-// convergence), then low energy-time product for this round's observed
-// conditions.
-func memberScore(ctx *sim.RoundContext, idx int) float64 {
-	comp, comm := ctx.Estimate(idx, device.CPU, -1)
-	total := comp + comm
-	energy := ctx.EstimateEnergy(idx, device.CPU, -1, total)
-	q := ctx.Devices[idx].Data.IIDQuality()
-	return math.Pow(q, 3) / (energy * total)
-}
-
-// oracleScratch holds the candidate-evaluation buffers the oracles
-// reuse across rounds and candidate clusters, so the exhaustive
-// per-round search does not allocate in steady state. An oracle
+// oracleScratch holds the buffers the oracles reuse across rounds and
+// candidate clusters, so the exhaustive per-round search does not
+// allocate in steady state. rankTiers fills sec, joules and tiers once
+// per round; every candidate cluster then reads them. An oracle
 // instance (like every stateful policy here) must not be shared by
 // concurrently running engines.
 type oracleScratch struct {
-	times   []float64
+	// sec and joules are each device's CPU-top completion time and
+	// round energy this round, indexed like ctx.Devices.
+	sec    []float64
+	joules []float64
+	// tiers lists each tier's devices, best member score first.
+	tiers   [device.NumCategories][]scoredDevice
 	clean   []float64
-	pool    []scoredDevice
 	members []int
 	best    []int
 	sels    []sim.Selection
 }
 
-// scoredDevice is one candidate in a tier's member-selection pool.
+// scoredDevice is one device in a tier's member ranking.
 type scoredDevice struct {
 	idx   int
 	score float64
+}
+
+// rankTiers computes every device's CPU-top cost for the round and
+// ranks each tier by member score: prefer high IID quality (sharply —
+// selecting biased devices stalls convergence), then low energy-time
+// product under this round's observed conditions.
+func rankTiers(ctx *sim.RoundContext, sc *oracleScratch) {
+	n := len(ctx.Devices)
+	if cap(sc.sec) < n {
+		sc.sec = make([]float64, n)
+		sc.joules = make([]float64, n)
+	}
+	sc.sec, sc.joules = sc.sec[:n], sc.joules[:n]
+	for cat := range sc.tiers {
+		sc.tiers[cat] = sc.tiers[cat][:0]
+	}
+	for i := range ctx.Devices {
+		total, energy := ctx.Cost(i, device.CPU, -1)
+		sc.sec[i], sc.joules[i] = total, energy
+		q := ctx.Devices[i].Data.IIDQuality()
+		cat := ctx.Devices[i].Device.Category()
+		sc.tiers[cat] = append(sc.tiers[cat], scoredDevice{i, math.Pow(q, 3) / (energy * total)})
+	}
+	for _, tier := range sc.tiers {
+		// The (score desc, idx asc) comparator is a total order, so any
+		// sort yields the same result; SortFunc avoids the interface
+		// boxing sort.Slice pays per call.
+		slices.SortFunc(tier, func(a, b scoredDevice) int {
+			switch {
+			case a.score > b.score:
+				return -1
+			case a.score < b.score:
+				return 1
+			default:
+				return a.idx - b.idx
+			}
+		})
+	}
 }
 
 // clusterEval is the oracle's prediction for one candidate
@@ -72,15 +103,11 @@ func evaluateCluster(ctx *sim.RoundContext, members []int, sc *oracleScratch) cl
 	if len(members) == 0 {
 		return clusterEval{}
 	}
-	if cap(sc.times) < len(members) {
-		sc.times = make([]float64, len(members))
+	if cap(sc.clean) < len(members) {
 		sc.clean = make([]float64, len(members))
 	}
-	times := sc.times[:len(members)]
 	clean := sc.clean[:len(members)]
 	for i, idx := range members {
-		comp, comm := ctx.Estimate(idx, device.CPU, -1)
-		times[i] = comp + comm
 		cc, cm := ctx.CleanCompletionTime(idx)
 		clean[i] = cc + cm
 	}
@@ -97,11 +124,14 @@ func evaluateCluster(ctx *sim.RoundContext, members []int, sc *oracleScratch) cl
 	roundSec := 0.0
 	mass, qualMass := 0.0, 0.0
 	var keptEnergy float64
-	for i, idx := range members {
+	for _, idx := range members {
 		d := ctx.Devices[idx].Data
-		if times[i] <= deadline {
-			if times[i] > roundSec {
-				roundSec = times[i]
+		// sec and joules are the Cost pair rankTiers computed: the
+		// energy is EstimateEnergy over exactly the estimated time.
+		sec, base := sc.sec[idx], sc.joules[idx]
+		if sec <= deadline {
+			if sec > roundSec {
+				roundSec = sec
 			}
 			// A surprise co-runner may still push this device past the
 			// deadline; discount its expected contribution and charge
@@ -110,8 +140,7 @@ func evaluateCluster(ctx *sim.RoundContext, members []int, sc *oracleScratch) cl
 			w := (1 - risk) * float64(ctx.Params.E) * float64(d.Samples)
 			mass += w
 			qualMass += w * d.IIDQuality()
-			base := ctx.EstimateEnergy(idx, device.CPU, -1, times[i])
-			waste := base * (deadline/times[i] - 1)
+			waste := base * (deadline/sec - 1)
 			keptEnergy += base + risk*waste
 			continue
 		}
@@ -120,8 +149,7 @@ func evaluateCluster(ctx *sim.RoundContext, members []int, sc *oracleScratch) cl
 		if deadline > roundSec {
 			roundSec = deadline
 		}
-		base := ctx.EstimateEnergy(idx, device.CPU, -1, times[i])
-		keptEnergy += base * deadline / times[i]
+		keptEnergy += base * deadline / sec
 	}
 	if mass == 0 {
 		return clusterEval{members: members, score: 0, deadline: deadline}
@@ -142,39 +170,13 @@ func evaluateCluster(ctx *sim.RoundContext, members []int, sc *oracleScratch) cl
 }
 
 // pickMembers fills sc.members with the cluster's members: within each
-// tier, the devices with the best current member score.
-func pickMembers(ctx *sim.RoundContext, c Cluster, sc *oracleScratch) []int {
+// tier, the devices rankTiers ranked best this round.
+func pickMembers(c Cluster, sc *oracleScratch) []int {
 	counts := c.Counts()
 	members := sc.members[:0]
-	for cat := 0; cat < device.NumCategories; cat++ {
-		want := counts[cat]
-		if want == 0 {
-			continue
-		}
-		pool := sc.pool[:0]
-		for i := range ctx.Devices {
-			if ctx.Devices[i].Device.Category() == device.Category(cat) {
-				pool = append(pool, scoredDevice{i, memberScore(ctx, i)})
-			}
-		}
-		sc.pool = pool
-		// The (score desc, idx asc) comparator is a total order, so any
-		// sort yields the same result; SortFunc avoids the interface
-		// boxing sort.Slice pays per call.
-		slices.SortFunc(pool, func(a, b scoredDevice) int {
-			switch {
-			case a.score > b.score:
-				return -1
-			case a.score < b.score:
-				return 1
-			default:
-				return a.idx - b.idx
-			}
-		})
-		if want > len(pool) {
-			want = len(pool)
-		}
-		for _, s := range pool[:want] {
+	for cat, tier := range sc.tiers {
+		want := min(counts[cat], len(tier))
+		for _, s := range tier[:want] {
 			members = append(members, s.idx)
 		}
 	}
@@ -182,18 +184,20 @@ func pickMembers(ctx *sim.RoundContext, c Cluster, sc *oracleScratch) []int {
 	return members
 }
 
-// bestCluster evaluates every Table 4 candidate (scaled to K) and
-// returns the winner's members (in sc.best, valid until the next call)
-// and projected deadline.
 // table4 caches the candidate set so the per-round search does not
 // rebuild it; Cluster values are copied out, never mutated.
 var table4 = Table4()
 
+// bestCluster ranks each tier once for the round, evaluates every
+// Table 4 candidate (scaled to K) over those rankings, and returns the
+// winner's members (in sc.best, valid until the next call) and
+// projected deadline.
 func bestCluster(ctx *sim.RoundContext, sc *oracleScratch) clusterEval {
+	rankTiers(ctx, sc)
 	var best clusterEval
 	first := true
 	for _, c := range table4 {
-		members := pickMembers(ctx, c.Scaled(ctx.Params.K), sc)
+		members := pickMembers(c.Scaled(ctx.Params.K), sc)
 		eval := evaluateCluster(ctx, members, sc)
 		if first || eval.score > best.score {
 			// eval.members aliases the reused sc.members buffer; keep
@@ -275,8 +279,8 @@ func BestAction(ctx *sim.RoundContext, idx int, deadline float64) (device.Target
 	for _, target := range []device.Target{device.CPU, device.GPU} {
 		proc := spec.Proc(target)
 		for step := 0; step <= proc.TopStep(); step++ {
-			comp, comm := ctx.Estimate(idx, target, step)
-			total := comp + comm
+			// An infeasible step's energy is computed but never wins.
+			total, energy := ctx.Cost(idx, target, step)
 			if total < fastestTime {
 				fastestTime = total
 				fastestTarget, fastestStep = target, step
@@ -284,7 +288,6 @@ func BestAction(ctx *sim.RoundContext, idx int, deadline float64) (device.Target
 			if total > deadline {
 				continue
 			}
-			energy := ctx.EstimateEnergy(idx, target, step, total)
 			if energy < bestEnergy {
 				bestEnergy = energy
 				bestTarget, bestStep = target, step

@@ -103,17 +103,6 @@ func ClusterByName(name string) (Cluster, bool) {
 	return Cluster{}, false
 }
 
-// topStepSelections builds selections running every device on its CPU
-// at the top DVFS step — the execution target every non-OFL policy
-// uses.
-func topStepSelections(indices []int) []sim.Selection {
-	out := make([]sim.Selection, 0, len(indices))
-	for _, i := range indices {
-		out = append(out, sim.Selection{Index: i, Target: device.CPU, Step: -1})
-	}
-	return out
-}
-
 // Random is the FedAvg-Random baseline (C0): uniform random K
 // participants, CPU at top frequency.
 type Random struct {
@@ -159,6 +148,12 @@ type Static struct {
 	name    string
 	cluster Cluster
 	s       *rng.Stream
+	// pool, perm and sels are reused across rounds so Select allocates
+	// nothing in steady state; PermInto consumes exactly the variates
+	// Sample did, so draws are unchanged.
+	pool []int
+	perm []int
+	sels []sim.Selection
 }
 
 // NewStatic builds a fixed-cluster policy.
@@ -185,25 +180,30 @@ func (p *Static) Name() string { return p.name }
 
 // Select implements sim.Policy.
 func (p *Static) Select(ctx *sim.RoundContext) []sim.Selection {
-	cluster := p.cluster.Scaled(ctx.Params.K)
-	counts := cluster.Counts()
-	var indices []int
-	for cat := 0; cat < device.NumCategories; cat++ {
-		want := counts[cat]
+	counts := p.cluster.Scaled(ctx.Params.K).Counts()
+	out := p.sels[:0]
+	for cat, want := range counts {
 		if want == 0 {
 			continue
 		}
-		var pool []int
+		pool := p.pool[:0]
 		for i := range ctx.Devices {
 			if ctx.Devices[i].Device.Category() == device.Category(cat) {
 				pool = append(pool, i)
 			}
 		}
-		for _, j := range p.s.Sample(len(pool), want) {
-			indices = append(indices, pool[j])
+		p.pool = pool
+		if cap(p.perm) < len(pool) {
+			p.perm = make([]int, len(pool))
+		}
+		perm := p.perm[:len(pool)]
+		p.s.PermInto(perm)
+		for _, j := range perm[:min(want, len(pool))] {
+			out = append(out, sim.Selection{Index: pool[j], Target: device.CPU, Step: -1})
 		}
 	}
-	return topStepSelections(indices)
+	p.sels = out
+	return out
 }
 
 // FedNova is the prior-work comparator of Wang et al. (NeurIPS 2020):

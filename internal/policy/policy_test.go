@@ -402,3 +402,23 @@ func TestOracleSelectSteadyStateAllocFree(t *testing.T) {
 		t.Errorf("steady-state OParticipant.Select allocated %.2f/run, want 0", avg)
 	}
 }
+
+func TestStaticSelectSteadyStateAllocFree(t *testing.T) {
+	// Performance and Power reuse their tier pool, permutation and
+	// selection buffers: once warmed, Select must not allocate.
+	eng := sim.New(sim.Config{Seed: 15})
+	perf := NewPerformance(3)
+	ctx, _ := eng.RunRound(perf, 0, 0.5)
+	if avg := testing.AllocsPerRun(50, func() { _ = perf.Select(ctx) }); avg != 0 {
+		t.Errorf("steady-state Performance.Select allocated %.2f/run, want 0", avg)
+	}
+	pow := NewPower(3)
+	if avg := testing.AllocsPerRun(50, func() { _ = pow.Select(ctx) }); avg != 0 {
+		t.Errorf("steady-state Power.Select allocated %.2f/run, want 0", avg)
+	}
+	c3, _ := ClusterByName("C3")
+	mixed := NewStatic("C3", c3, 3)
+	if avg := testing.AllocsPerRun(50, func() { _ = mixed.Select(ctx) }); avg != 0 {
+		t.Errorf("steady-state C3 Static.Select allocated %.2f/run, want 0", avg)
+	}
+}

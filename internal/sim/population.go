@@ -174,6 +174,7 @@ func (e *Engine) observePop(sc *roundScratch, round int, accuracy float64) *Roun
 		Params:    e.cfg.Params,
 		Devices:   devices,
 		cfg:       &e.cfg,
+		wl:        e.wl,
 		fleetIdle: p.fleetIdle,
 	}
 	// Serial below the threshold — and through a named method, not a

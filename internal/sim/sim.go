@@ -257,9 +257,21 @@ type RoundContext struct {
 	Devices []DeviceState
 
 	cfg *Config
+	// wl carries the engine's per-run workload constants into every
+	// estimate.
+	wl workloadConsts
 	// fleetIdle caches the fleet-wide idle draw for the round (see
 	// FleetIdleWatts); 0 means not yet computed.
 	fleetIdle float64
+}
+
+// workloadConsts are the workload figures every completion-time
+// estimate needs. They are fixed for a run, so NewEngine computes them
+// once instead of each estimate walking the model's layer list.
+type workloadConsts struct {
+	intensity      float64 // Workload.Intensity(Params.B)
+	flopsPerSample float64 // Workload.TrainFLOPsPerSample()
+	payload        float64 // 2 * Workload.GradientBytes(): model down + gradients up
 }
 
 // Selection is one participant choice: a device plus its execution
@@ -578,12 +590,10 @@ func (ctx *RoundContext) estimateWithLoad(idx int, target device.Target, step in
 	if step < 0 {
 		step = spec.Proc(target).TopStep() // -1 selects the top step
 	}
-	intensity := ctx.Workload.Intensity(ctx.Params.B)
-	tput := spec.EffectiveGFLOPS(target, step, intensity, load.CPUContention(), load.MemContention())
-	work := float64(ctx.Params.E) * float64(ds.Data.Samples) * ctx.Workload.TrainFLOPsPerSample()
+	tput := spec.EffectiveGFLOPS(target, step, ctx.wl.intensity, load.CPUContention(), load.MemContention())
+	work := float64(ctx.Params.E) * float64(ds.Data.Samples) * ctx.wl.flopsPerSample
 	compSec = spec.SetupSec + work/(tput*1e9)
-	payload := 2 * ctx.Workload.GradientBytes() // model down + gradients up
-	commSec = ctx.cfg.Env.Network.CommSeconds(payload, ds.BandwidthMbps)
+	commSec = ctx.cfg.Env.Network.CommSeconds(ctx.wl.payload, ds.BandwidthMbps)
 	return compSec, commSec
 }
 
@@ -639,6 +649,21 @@ func (ctx *RoundContext) FleetIdleWatts() float64 {
 // given action and an assumed round duration.
 func (ctx *RoundContext) EstimateEnergy(idx int, target device.Target, step int, roundSec float64) float64 {
 	comp, comm := ctx.Estimate(idx, target, step)
+	return ctx.energy(idx, target, step, comp, comm, roundSec)
+}
+
+// Cost returns the predicted completion time of device idx under the
+// given action and its round energy over exactly that time — the pair
+// (comp+comm of Estimate, EstimateEnergy(idx, target, step, comp+comm))
+// from a single estimate. Planning policies that need both use it.
+func (ctx *RoundContext) Cost(idx int, target device.Target, step int) (sec, joules float64) {
+	comp, comm := ctx.Estimate(idx, target, step)
+	sec = comp + comm
+	return sec, ctx.energy(idx, target, step, comp, comm, sec)
+}
+
+// energy is EstimateEnergy's body over an already computed estimate.
+func (ctx *RoundContext) energy(idx int, target device.Target, step int, comp, comm, roundSec float64) float64 {
 	ds := &ctx.Devices[idx]
 	if comp+comm > roundSec {
 		roundSec = comp + comm
@@ -683,6 +708,8 @@ type Engine struct {
 	barrier vtime.Queue
 	// vnow is the engine's virtual clock: cumulative round seconds.
 	vnow float64
+	// wl holds the run's workload constants (see workloadConsts).
+	wl workloadConsts
 
 	// scratch holds the Run loop's reusable round buffers; the
 	// exported RunRound allocates fresh ones per call so its returned
@@ -748,6 +775,11 @@ func NewEngine(cfg Config) (*Engine, error) {
 		streams: root,
 		envRng:  root.Fork(),
 		accRng:  root.Fork(),
+		wl: workloadConsts{
+			intensity:      c.Workload.Intensity(c.Params.B),
+			flopsPerSample: c.Workload.TrainFLOPsPerSample(),
+			payload:        2 * c.Workload.GradientBytes(),
+		},
 	}
 	if c.Population != nil && c.Sample > 0 {
 		e.pop = newPopState(&e.cfg, partRng, e.envRng, root)
@@ -795,6 +827,7 @@ func (e *Engine) observe(sc *roundScratch, round int, accuracy float64) *RoundCo
 		Params:   e.cfg.Params,
 		Devices:  devices,
 		cfg:      &e.cfg,
+		wl:       e.wl,
 	}
 	for i, d := range e.cfg.Fleet {
 		bw := e.cfg.Env.Network.Sample(e.envRng)
