@@ -22,9 +22,6 @@ package sim
 import (
 	"math"
 
-	"autofl/internal/interference"
-	"autofl/internal/power"
-	"autofl/internal/rng"
 	"autofl/internal/sim/vtime"
 )
 
@@ -97,43 +94,7 @@ func (a *asyncState) alloc(f flight) int {
 // the sampled-population paths.
 func (e *Engine) runRoundAsync(pol Policy, round int, accuracy float64, sc *roundScratch) (*RoundContext, *RoundResult) {
 	a := e.async
-	p := e.pop
-
-	var ctx *RoundContext
-	if p != nil {
-		ctx = e.observePop(sc, round, accuracy)
-	} else {
-		ctx = e.observe(sc, round, accuracy)
-	}
-	selections := sanitize(sc, ctx, pol.Select(ctx))
-
-	traits := AggregationTraits{}
-	if tp, ok := pol.(TraitsPolicy); ok {
-		traits = tp.Traits()
-	}
-
-	k := len(ctx.Devices)
-	res := &sc.res
-	devRounds := res.Devices
-	if cap(devRounds) < k {
-		devRounds = make([]DeviceRound, k)
-	}
-	devRounds = devRounds[:k]
-	*res = RoundResult{
-		Round:        round,
-		PrevAccuracy: accuracy,
-		Devices:      devRounds,
-	}
-	for v := range res.Devices {
-		g := v
-		if p != nil {
-			g = int(sc.cand[v])
-		}
-		res.Devices[v] = DeviceRound{Index: g}
-	}
-	if e.batt != nil {
-		res.BatteryAvailable, res.BatteryDepleted, res.BatteryMeanFrac = battViewStats(ctx.Devices)
-	}
+	ctx, selections, traits, res := e.beginRound(pol, round, accuracy, sc)
 
 	// Dispatch: every selected device that is not already training
 	// starts now, up to Params.K updates in flight. Its completion is
@@ -146,13 +107,7 @@ func (e *Engine) runRoundAsync(pol Policy, round int, accuracy float64, sc *roun
 		if a.busy[g] || a.inFlight >= ctx.Params.K {
 			continue
 		}
-		var actual interference.Load
-		if p != nil {
-			st := p.actRng.Seed(rng.Mix(p.actSeed, uint64(round), uint64(g)))
-			actual = e.cfg.Env.Interference.Actual(st, ctx.Devices[sel.Index].Load)
-		} else {
-			actual = e.cfg.Env.Interference.Actual(e.envRng, ctx.Devices[sel.Index].Load)
-		}
+		actual := e.actualLoad(ctx, sel.Index, g, round)
 		comp, comm := ctx.estimateWithLoad(sel.Index, sel.Target, sel.Step, actual)
 		cleanComp, cleanComm := ctx.CleanCompletionTime(sel.Index)
 		dr.Selected = true
@@ -164,20 +119,17 @@ func (e *Engine) runRoundAsync(pol Policy, round int, accuracy float64, sc *roun
 		// (possibly stale) contribution, not a straggler punishment.
 		dr.UpdateFraction = 1
 
-		spec := ctx.Devices[sel.Index].Device.Spec
+		ds := &ctx.Devices[sel.Index]
 		busySec := comp + comm
-		activeJ := power.ParticipantRoundEnergy(spec, sel.Target, sel.Step, ctx.Devices[sel.Index].Signal, power.Phases{
-			SetupSec:  spec.SetupSec,
-			CrunchSec: comp - spec.SetupSec,
-			CommSec:   comm,
-			RoundSec:  busySec,
-		})
-		dr.EnergyJ = activeJ
-		res.EnergyParticipantsJ += activeJ
+		dr.EnergyJ = participantEnergy(dr, ds, math.Inf(1), busySec, false)
+		res.EnergyParticipantsJ += dr.EnergyJ
 		// Fleet energy counts the whole population idle for the round
 		// (added once roundSec is known) plus each dispatched device's
-		// energy above its own idle draw over its busy window.
-		res.EnergyTotalJ += activeJ - spec.IdleWatts()*busySec
+		// energy above its own idle draw over its busy window, which is
+		// also what charge books at dispatch.
+		extraJ := dr.EnergyJ - ds.Device.Spec.IdleWatts()*busySec
+		res.EnergyTotalJ += extraJ
+		e.charge(dr, extraJ)
 
 		slot := a.alloc(flight{
 			dev:      int32(g),
@@ -192,19 +144,6 @@ func (e *Engine) runRoundAsync(pol Policy, round int, accuracy float64, sc *roun
 		a.busy[g] = true
 		a.inFlight++
 		dispatched++
-
-		if p != nil {
-			p.extraJ[g] += activeJ - spec.IdleWatts()*busySec
-			p.lastStep[g] = int8(sel.Step)
-			p.lastTarget[g] = int8(sel.Target)
-		}
-		if e.batt != nil {
-			// The whole busy window's extra draw is charged at dispatch,
-			// mirroring the energy accounting above; the idle share
-			// arrives lazily via the next settle.
-			e.batt.model.Drain(g, activeJ-spec.IdleWatts()*busySec)
-			e.batt.participate(g)
-		}
 	}
 	res.Participants = dispatched
 
@@ -282,20 +221,9 @@ func (e *Engine) runRoundAsync(pol Policy, round int, accuracy float64, sc *roun
 	// records for undispatched view rows (observability only; totals
 	// are accounted above).
 	res.EnergyTotalJ += ctx.FleetIdleWatts() * roundSec
-	for v := range res.Devices {
-		dr := &res.Devices[v]
-		if !dr.Selected {
-			dr.EnergyJ = power.IdleEnergy(ctx.Devices[v].Device.Spec.IdleWatts(), roundSec)
-		}
-	}
-	if p != nil {
-		p.idleSec += roundSec
-	}
-	if e.batt != nil {
-		res.ParticipationJain = e.batt.jain()
-	}
+	e.idleRows(ctx, res, roundSec)
 
-	res.Accuracy = e.advanceAsync(ctx, res, traits)
+	res.Accuracy = e.advance(res, traits)
 	return ctx, res
 }
 
@@ -322,117 +250,4 @@ func (e *Engine) takeFlight(slot int64, round int) ArrivalUpdate {
 		CompSec:       f.compSec,
 		CommSec:       f.commSec,
 	}
-}
-
-// advanceAsync is the convergence step over this round's arrivals: the
-// synchronous accuracy dynamics with each update's mass discounted by
-// its staleness weight — stale gradients both contribute less and slow
-// effective progress, the staleness penalty of async FedAvg.
-func (e *Engine) advanceAsync(ctx *RoundContext, res *RoundResult, traits AggregationTraits) float64 {
-	m := e.conv
-	p := e.pop
-	acc := res.PrevAccuracy
-
-	mass, qualMass, stability := 0.0, 0.0, 0.0
-	keptCount := 0
-	var orMask uint64
-	classCount := 0
-	if p == nil {
-		classSeen := m.classSeen
-		for i := range classSeen {
-			classSeen[i] = false
-		}
-		kept := m.kept
-		for i := range kept {
-			kept[i] = false
-		}
-	}
-	for i := range res.Arrivals {
-		ar := &res.Arrivals[i]
-		g := ar.Index
-		var samples, q float64
-		if p != nil {
-			samples = float64(p.part.Samples[g])
-			q = float64(p.part.Quality[g])
-			if traits.DivergenceDamping > 0 {
-				q += traits.DivergenceDamping * (1 - q)
-				if q > 1 {
-					q = 1
-				}
-			}
-			orMask |= p.part.Mask[g]
-			stability += p.emaAt(g, res.Round)
-			p.emaBump(g, res.Round)
-		} else {
-			d := &e.partition[g]
-			samples = float64(d.Samples)
-			q = quality(d, traits)
-			for _, c := range d.Classes {
-				if !m.classSeen[c] {
-					m.classSeen[c] = true
-					classCount++
-				}
-			}
-			m.kept[g] = true
-			stability += m.emaPart[g]
-		}
-		if traits.NormalizedWeights {
-			samples = float64(ctx.Workload.Dataset.SamplesPerDevice)
-		}
-		w := ar.Weight * float64(ctx.Params.E) * samples
-		mass += w
-		qualMass += w * q
-		keptCount++
-	}
-	if p == nil {
-		// Legacy participation memory: the eager decay sweep of the
-		// synchronous model, with this step's arrivals as the cohort.
-		for i := range m.emaPart {
-			w := m.emaPart[i] * emaDecay
-			if m.kept[i] {
-				w += 1 - emaDecay
-			}
-			if w < 1e-6 {
-				w = 0
-			}
-			m.emaPart[i] = w
-		}
-	}
-	if mass <= 0 {
-		return acc
-	}
-	meanQ := qualMass / mass
-	var coverage float64
-	if p != nil {
-		coverage = p.part.Coverage(orMask)
-	} else {
-		coverage = float64(classCount) / float64(m.classes)
-	}
-	stability /= float64(keptCount)
-	if stability > 1 {
-		stability = 1
-	}
-	roundQ := meanQ + (1-meanQ)*stabilityWeight*stability*coverage
-	effCeiling := m.floor + plateau(roundQ)*(m.ceiling-m.floor)
-	rate := m.baseRate * math.Pow(mass/m.referenceMass, massExponent)
-	rate *= math.Pow(roundQ, qualityRateExp)
-	rate *= 1 + e.accRng.Normal(0, m.noiseSigma)
-	if rate < 0 {
-		rate = 0
-	}
-	if rate > 0.5 {
-		rate = 0.5
-	}
-	if effCeiling > acc {
-		acc += rate * (effCeiling - acc)
-	} else {
-		acc -= regressFraction * rate * (acc - effCeiling)
-	}
-	if acc < m.floor {
-		acc = m.floor
-	}
-	if acc > m.ceiling {
-		acc = m.ceiling
-	}
-	return acc
 }

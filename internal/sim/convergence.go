@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 
-	"autofl/internal/data"
 	"autofl/internal/rng"
 )
 
@@ -53,11 +52,13 @@ type convergenceModel struct {
 	// a stable pool (what a learned selector does while dodging
 	// interference) keeps the effective training distribution
 	// stationary, like block-cyclic sampling; resampling the whole
-	// population does not. Indexed by device; a zero entry means no
-	// recent participation.
+	// population does not. Indexed by fleet device (the population
+	// layout keeps a lazily decayed copy, popState.emaW); a zero entry
+	// means no recent participation.
 	emaPart []float64
-	// kept and classSeen are per-round scratch, reused across rounds
-	// so advance allocates nothing in steady state.
+	// kept and classSeen are the fleet layout's per-round scratch,
+	// reused across rounds so advance allocates nothing in steady
+	// state.
 	kept      []bool
 	classSeen []bool
 }
@@ -102,12 +103,11 @@ func newConvergenceModel(cfg *Config) *convergenceModel {
 	}
 }
 
-// quality returns the effective IID quality of one device's update
-// after aggregation-level damping.
-func quality(d *data.DeviceData, traits AggregationTraits) float64 {
-	q := d.IIDQuality()
-	if traits.DivergenceDamping > 0 {
-		q += traits.DivergenceDamping * (1 - q)
+// damp returns an update's IID quality after aggregation-level
+// divergence damping.
+func damp(q, damping float64) float64 {
+	if damping > 0 {
+		q += damping * (1 - q)
 	}
 	if q > 1 {
 		return 1
@@ -121,66 +121,109 @@ func plateau(roundQuality float64) float64 {
 	return plateauBase + plateauRange/(1+math.Exp(-(roundQuality-plateauMid)/plateauScale))
 }
 
-// advance computes the post-round accuracy.
-func (m *convergenceModel) advance(s *rng.Stream, ctx *RoundContext, res *RoundResult, traits AggregationTraits) float64 {
-	acc := res.PrevAccuracy
+// convSums accumulates one aggregation's kept updates.
+type convSums struct {
+	mass, qualMass, stability float64
+	count                     int
+	classCount                int    // fleet layout: distinct classes seen
+	mask                      uint64 // population layout: OR-ed class buckets
+}
 
-	// Aggregate kept update mass, quality, coverage and stability.
-	mass, qualMass := 0.0, 0.0
-	kept := m.kept
-	for i := range kept {
-		kept[i] = false
+// advance computes the post-round accuracy from the round's kept
+// updates: the on-time and partial updates of a synchronous round, or
+// the arrivals of an asynchronous one, each weighted by its staleness
+// discount — stale gradients both contribute less and slow effective
+// progress, the staleness penalty of async FedAvg.
+func (e *Engine) advance(res *RoundResult, traits AggregationTraits) float64 {
+	m := e.conv
+	var u convSums
+	if e.pop == nil {
+		clear(m.kept)
+		clear(m.classSeen)
 	}
-	classSeen := m.classSeen
-	for i := range classSeen {
-		classSeen[i] = false
-	}
-	keptCount, classCount := 0, 0
-	stability := 0.0
-	for i := range res.Devices {
-		dr := &res.Devices[i]
-		if dr.UpdateFraction <= 0 {
-			continue
+	if e.async != nil {
+		for i := range res.Arrivals {
+			ar := &res.Arrivals[i]
+			e.keep(&u, ar.Index, ar.Weight, res.Round, traits)
 		}
-		d := ctx.Devices[i].Data
-		samples := float64(d.Samples)
-		if traits.NormalizedWeights {
-			samples = float64(ctx.Workload.Dataset.SamplesPerDevice)
-		}
-		w := dr.UpdateFraction * float64(ctx.Params.E) * samples
-		mass += w
-		qualMass += w * quality(d, traits)
-		kept[i] = true
-		keptCount++
-		stability += m.emaPart[i]
-		for _, c := range d.Classes {
-			if !classSeen[c] {
-				classSeen[c] = true
-				classCount++
+	} else {
+		for v := range res.Devices {
+			if dr := &res.Devices[v]; dr.UpdateFraction > 0 {
+				e.keep(&u, dr.Index, dr.UpdateFraction, res.Round, traits)
 			}
 		}
 	}
-	// Update the participation memory for every device. Weights that
-	// decay below the floor reset to zero (no recent participation).
-	for i := range res.Devices {
-		w := m.emaPart[i] * emaDecay
-		if kept[i] {
-			w += 1 - emaDecay
+	var coverage float64
+	if e.pop != nil {
+		coverage = e.pop.part.Coverage(u.mask)
+	} else {
+		// Update the participation memory for every device. Weights
+		// that decay below the floor reset to zero (no recent
+		// participation).
+		for i := range m.emaPart {
+			w := m.emaPart[i] * emaDecay
+			if m.kept[i] {
+				w += 1 - emaDecay
+			}
+			if w < 1e-6 {
+				w = 0
+			}
+			m.emaPart[i] = w
 		}
-		if w < 1e-6 {
-			w = 0
-		}
-		m.emaPart[i] = w
+		coverage = float64(u.classCount) / float64(m.classes)
 	}
-	if mass <= 0 {
+	return m.step(e.accRng, res.PrevAccuracy, &u, coverage)
+}
+
+// keep folds one kept update of device g, aggregated with weight frac
+// (its update fraction or staleness discount), into the round's sums.
+// Only where the data and the participation memory live differs by
+// layout: the fleet reads its partition and the eagerly swept EMA, the
+// population its packed arrays and the lazily decayed EMA
+// (O(kept updates) instead of O(fleet)).
+func (e *Engine) keep(u *convSums, g int, frac float64, round int, traits AggregationTraits) {
+	m := e.conv
+	var samples, q float64
+	if p := e.pop; p != nil {
+		samples = float64(p.part.Samples[g])
+		q = float64(p.part.Quality[g])
+		u.mask |= p.part.Mask[g]
+		u.stability += p.emaAt(g, round)
+		p.emaBump(g, round)
+	} else {
+		d := &e.partition[g]
+		samples = float64(d.Samples)
+		q = d.IIDQuality()
+		for _, c := range d.Classes {
+			if !m.classSeen[c] {
+				m.classSeen[c] = true
+				u.classCount++
+			}
+		}
+		m.kept[g] = true
+		u.stability += m.emaPart[g]
+	}
+	if traits.NormalizedWeights {
+		samples = float64(e.cfg.Workload.Dataset.SamplesPerDevice)
+	}
+	w := frac * float64(e.cfg.Params.E) * samples
+	u.mass += w
+	u.qualMass += w * damp(q, traits.DivergenceDamping)
+	u.count++
+}
+
+// step is the convergence tail every layout and regime shares: the
+// round's effective quality sets the reachable ceiling, and accuracy
+// moves toward it along the saturating exponential.
+func (m *convergenceModel) step(s *rng.Stream, acc float64, u *convSums, coverage float64) float64 {
+	if u.mass <= 0 {
 		return acc // nothing aggregated; the model is unchanged
 	}
-	meanQ := qualMass / mass
-	coverage := float64(classCount) / float64(m.classes)
+	meanQ := u.qualMass / u.mass
 	// stability is the mean recent-participation weight of today's
 	// cohort: ~1 for a fixed cohort, ~K/N for population resampling,
 	// and in between for rotation within a stable pool.
-	stability /= float64(keptCount)
+	stability := u.stability / float64(u.count)
 	if stability > 1 {
 		stability = 1
 	}
@@ -195,7 +238,7 @@ func (m *convergenceModel) advance(s *rng.Stream, ctx *RoundContext, res *RoundR
 
 	// Per-round progress rate: diminishing returns in mass, slowed by
 	// client drift, jittered by SGD noise.
-	rate := m.baseRate * math.Pow(mass/m.referenceMass, massExponent)
+	rate := m.baseRate * math.Pow(u.mass/m.referenceMass, massExponent)
 	rate *= math.Pow(roundQ, qualityRateExp)
 	rate *= 1 + s.Normal(0, m.noiseSigma)
 	if rate < 0 {

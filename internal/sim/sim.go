@@ -867,55 +867,22 @@ func (e *Engine) RunRound(p Policy, round int, accuracy float64) (*RoundContext,
 }
 
 // runRound is the round engine proper, operating on caller-provided
-// scratch buffers.
-func (e *Engine) runRound(p Policy, round int, accuracy float64, sc *roundScratch) (*RoundContext, *RoundResult) {
+// scratch buffers. This function is the synchronous regime for both
+// layouts; the asynchronous regimes branch to runRoundAsync.
+func (e *Engine) runRound(pol Policy, round int, accuracy float64, sc *roundScratch) (*RoundContext, *RoundResult) {
 	if e.async != nil {
-		return e.runRoundAsync(p, round, accuracy, sc)
+		return e.runRoundAsync(pol, round, accuracy, sc)
 	}
-	if e.pop != nil {
-		return e.runRoundPop(p, round, accuracy, sc)
-	}
-	ctx := e.observe(sc, round, accuracy)
-	selections := sanitize(sc, ctx, p.Select(ctx))
-	participants := len(selections)
-
-	traits := AggregationTraits{}
-	if tp, ok := p.(TraitsPolicy); ok {
-		traits = tp.Traits()
-	}
-
-	res := &sc.res
-	devRounds := res.Devices
-	if cap(devRounds) < len(ctx.Devices) {
-		devRounds = make([]DeviceRound, len(ctx.Devices))
-	}
-	devRounds = devRounds[:len(ctx.Devices)]
-	*res = RoundResult{
-		Round:        round,
-		Participants: participants,
-		PrevAccuracy: accuracy,
-		Devices:      devRounds,
-	}
-	for i := range res.Devices {
-		res.Devices[i] = DeviceRound{Index: i}
-	}
-	if e.batt != nil {
-		res.BatteryAvailable, res.BatteryDepleted, res.BatteryMeanFrac = battViewStats(ctx.Devices)
-	}
-
+	ctx, selections, traits, res := e.beginRound(pol, round, accuracy, sc)
 	// Per-participant completion times, under the loads actually in
-	// effect during execution: a co-runner can appear (or quit) after
-	// selection — the surprise variance no selector can observe away.
+	// effect during execution (see actualLoad).
 	for _, sel := range selections {
 		dr := &res.Devices[sel.Index]
 		dr.Selected = true
 		dr.Target = sel.Target
 		dr.Step = sel.Step
-		actual := e.cfg.Env.Interference.Actual(e.envRng, ctx.Devices[sel.Index].Load)
+		actual := e.actualLoad(ctx, sel.Index, dr.Index, round)
 		dr.CompSec, dr.CommSec = ctx.estimateWithLoad(sel.Index, sel.Target, sel.Step, actual)
-		if e.batt != nil {
-			e.batt.participate(sel.Index)
-		}
 	}
 
 	// Straggler deadline: the server fixes a reporting deadline from
@@ -946,49 +913,155 @@ func (e *Engine) runRound(p Policy, round int, accuracy float64, sc *roundScratc
 	e.vnow += roundSec
 	res.VirtualSec = e.vnow
 
-	// Energy accounting for the whole fleet.
-	for i := range ctx.Devices {
-		dr := &res.Devices[i]
-		ds := &ctx.Devices[i]
-		if !dr.Selected {
-			dr.EnergyJ = power.IdleEnergy(ds.Device.Spec.IdleWatts(), roundSec)
+	// Participant energy, with a straggler's work clipped at the
+	// deadline.
+	partJ, partIdle := 0.0, 0.0
+	for _, sel := range selections {
+		dr := &res.Devices[sel.Index]
+		ds := &ctx.Devices[sel.Index]
+		dr.EnergyJ = participantEnergy(dr, ds, deadline, roundSec, traits.PartialUpdates)
+		idle := ds.Device.Spec.IdleWatts() * roundSec
+		partJ += dr.EnergyJ
+		partIdle += idle
+		e.charge(dr, dr.EnergyJ-idle)
+	}
+	e.idleRows(ctx, res, roundSec)
+	if p := e.pop; p != nil {
+		// Fleet-wide energy in O(participants): the population idle
+		// draw for the round, minus the participants' own idle share,
+		// plus their measured round energy.
+		res.EnergyParticipantsJ = partJ
+		res.EnergyTotalJ = p.fleetIdle*roundSec - partIdle + partJ
+	} else {
+		// The materialized fleet sums every device's energy in index
+		// order (Eq 6 over all N devices). The idle-base arithmetic
+		// above rounds differently, so moving the fleet onto it would
+		// change the bytes of every fleet experiment.
+		for i := range res.Devices {
+			dr := &res.Devices[i]
 			res.EnergyTotalJ += dr.EnergyJ
-			continue
-		}
-		comp, comm := dr.CompSec, dr.CommSec
-		if dr.Dropped {
-			// Work stops at the deadline; communication of whatever
-			// was produced still happens for partial updates.
-			budget := math.Max(0, deadline-dr.CommSec)
-			comp = math.Min(comp, budget)
-			if !traits.PartialUpdates {
-				comm = math.Min(comm, deadline)
+			if dr.Selected {
+				res.EnergyParticipantsJ += dr.EnergyJ
 			}
 		}
-		spec := ds.Device.Spec
-		setup := math.Min(spec.SetupSec, comp)
-		dr.EnergyJ = power.ParticipantRoundEnergy(spec, dr.Target, dr.Step, ds.Signal, power.Phases{
-			SetupSec:  setup,
-			CrunchSec: comp - setup,
-			CommSec:   comm,
-			RoundSec:  roundSec,
-		})
-		res.EnergyTotalJ += dr.EnergyJ
-		res.EnergyParticipantsJ += dr.EnergyJ
-		if e.batt != nil {
-			// Drain the participant's energy above its idle draw: the
-			// idle share is integrated lazily at the next settle, so
-			// the two together drain exactly EnergyJ.
-			e.batt.model.Drain(i, dr.EnergyJ-ds.Device.Spec.IdleWatts()*roundSec)
+	}
+	res.Accuracy = e.advance(res, traits)
+	return ctx, res
+}
+
+// beginRound is the round prelude both regimes share: observe the
+// layout's candidate view, sanitize the policy's selections, read its
+// aggregation traits, and reset the result rows to idle with each
+// row's global device index and the view's battery summary.
+func (e *Engine) beginRound(pol Policy, round int, accuracy float64, sc *roundScratch) (*RoundContext, []Selection, AggregationTraits, *RoundResult) {
+	var ctx *RoundContext
+	if e.pop != nil {
+		ctx = e.observePop(sc, round, accuracy)
+	} else {
+		ctx = e.observe(sc, round, accuracy)
+	}
+	selections := sanitize(sc, ctx, pol.Select(ctx))
+	traits := AggregationTraits{}
+	if tp, ok := pol.(TraitsPolicy); ok {
+		traits = tp.Traits()
+	}
+
+	k := len(ctx.Devices)
+	res := &sc.res
+	devRounds := res.Devices
+	if cap(devRounds) < k {
+		devRounds = make([]DeviceRound, k)
+	}
+	devRounds = devRounds[:k]
+	*res = RoundResult{
+		Round:        round,
+		Participants: len(selections),
+		PrevAccuracy: accuracy,
+		Devices:      devRounds,
+	}
+	for v := range res.Devices {
+		g := v
+		if e.pop != nil {
+			g = int(sc.cand[v])
 		}
+		res.Devices[v] = DeviceRound{Index: g}
+	}
+	if e.batt != nil {
+		res.BatteryAvailable, res.BatteryDepleted, res.BatteryMeanFrac = battViewStats(ctx.Devices)
+	}
+	return ctx, selections, traits, res
+}
+
+// actualLoad draws the co-runner load that selected view row v, global
+// device g, actually runs under: a co-runner can appear (or quit)
+// after selection — the surprise variance no selector can observe
+// away. The fleet draws it from the sequential environment stream; the
+// population from a (round, device)-keyed stream, so the draw is a
+// function of device identity, not of selection order.
+func (e *Engine) actualLoad(ctx *RoundContext, v, g, round int) interference.Load {
+	s := e.envRng
+	if p := e.pop; p != nil {
+		s = p.actRng.Seed(rng.Mix(p.actSeed, uint64(round), uint64(g)))
+	}
+	return e.cfg.Env.Interference.Actual(s, ctx.Devices[v].Load)
+}
+
+// participantEnergy is a participant's energy over a round of roundSec.
+// A participant that missed the deadline stops working there;
+// communication of whatever it produced still happens for partial
+// updates.
+func participantEnergy(dr *DeviceRound, ds *DeviceState, deadline, roundSec float64, partial bool) float64 {
+	comp, comm := dr.CompSec, dr.CommSec
+	if dr.Dropped {
+		budget := math.Max(0, deadline-dr.CommSec)
+		comp = math.Min(comp, budget)
+		if !partial {
+			comm = math.Min(comm, deadline)
+		}
+	}
+	spec := ds.Device.Spec
+	setup := math.Min(spec.SetupSec, comp)
+	return power.ParticipantRoundEnergy(spec, dr.Target, dr.Step, ds.Signal, power.Phases{
+		SetupSec:  setup,
+		CrunchSec: comp - setup,
+		CommSec:   comm,
+		RoundSec:  roundSec,
+	})
+}
+
+// charge books a participant's energy above its idle draw, extraJ: the
+// population's cumulative-energy accumulator and last-action record,
+// and the battery's drain and participation count. The idle share is
+// integrated lazily (idleSec, the next battery settle), so the two
+// together account exactly the participant's energy.
+func (e *Engine) charge(dr *DeviceRound, extraJ float64) {
+	g := dr.Index
+	if p := e.pop; p != nil {
+		p.extraJ[g] += extraJ
+		p.lastStep[g] = int8(dr.Step)
+		p.lastTarget[g] = int8(dr.Target)
+	}
+	if e.batt != nil {
+		e.batt.model.Drain(g, extraJ)
+		e.batt.participate(g)
+	}
+}
+
+// idleRows closes a round of roundSec for its non-participants: each
+// unselected view row's idle-energy record, the population's idle-time
+// integral, and the battery fairness index.
+func (e *Engine) idleRows(ctx *RoundContext, res *RoundResult, roundSec float64) {
+	for v := range res.Devices {
+		if dr := &res.Devices[v]; !dr.Selected {
+			dr.EnergyJ = power.IdleEnergy(ctx.Devices[v].Device.Spec.IdleWatts(), roundSec)
+		}
+	}
+	if e.pop != nil {
+		e.pop.idleSec += roundSec
 	}
 	if e.batt != nil {
 		res.ParticipationJain = e.batt.jain()
 	}
-
-	// Advance the global model.
-	res.Accuracy = e.conv.advance(e.accRng, ctx, res, traits)
-	return ctx, res
 }
 
 // resolveBarrier resolves one bulk-synchronous aggregation barrier
