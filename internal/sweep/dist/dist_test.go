@@ -590,7 +590,22 @@ func TestPoolExecutorWorkerDeathRequeues(t *testing.T) {
 	defer ln.Close()
 
 	src := newChanSource()
-	_, l1 := registerWorker(t, ln, "survivor", 2, fakeRunners)
+	// The survivor runs nothing until the dying link is dead, so the
+	// death lands strictly mid-grid. Ungated, the survivor could finish
+	// every cell before the dying worker's third, leaving no lease to
+	// observe the death and nothing to evict.
+	var l2 *Link
+	gatedRunners := func(rounds int, traced bool) sweep.Runner {
+		return func(ctx context.Context, c sweep.Cell, seed uint64) (sweep.Outcome, error) {
+			select {
+			case <-l2.Dead():
+			case <-ctx.Done():
+				return sweep.Outcome{}, ctx.Err()
+			}
+			return fakeRunner(ctx, c, seed)
+		}
+	}
+	_, l1 := registerWorker(t, ln, "survivor", 2, gatedRunners)
 	var dying *Worker
 	var executed int32
 	dyingRunners := func(rounds int, traced bool) sweep.Runner {
@@ -601,7 +616,6 @@ func TestPoolExecutorWorkerDeathRequeues(t *testing.T) {
 			return fakeRunner(ctx, c, seed)
 		}
 	}
-	var l2 *Link
 	dying, l2 = registerWorker(t, ln, "dying", 1, dyingRunners)
 	src.pool <- l1
 	src.pool <- l2
