@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -185,26 +186,20 @@ func TestAsyncConfigErrors(t *testing.T) {
 	}
 }
 
-// TestAsyncRoundAllocs pins the zero-alloc steady state of the async
-// population round (serial shards, as in TestPopulationRoundAllocs).
+// TestAsyncRoundAllocs pins the zero-alloc steady state of the
+// asynchronous rounds in both layouts (serial shards, as in
+// TestPopulationRoundAllocs).
 func TestAsyncRoundAllocs(t *testing.T) {
-	cfg := asyncPopConfig(t, sim.ModeAsync, 2000, 512, 1, 3)
-	cfg.MaxRounds = 1000
-	cfg.TargetAccuracy = 1 // unreachable: the run never ends early
-	run := mustEngine(t, cfg).Start(policy.NewRandom(9))
-	// Long warmup: the flight table and arrival buffer grow to their
-	// steady-state capacity during the first rounds.
-	for i := 0; i < 20; i++ {
-		if !run.Step() {
-			t.Fatal("run ended during warmup")
+	for _, mode := range []sim.AggregationMode{sim.ModeAsync, sim.ModeSemiAsync} {
+		for _, tc := range []struct {
+			name      string
+			n, sample int
+		}{{"population", 2000, 512}, {"fleet", 200, 0}} {
+			t.Run(fmt.Sprintf("%s/%s", mode, tc.name), func(t *testing.T) {
+				// Long warmup: the flight table and arrival buffer grow
+				// to their steady-state capacity during the first rounds.
+				assertRoundAllocs(t, asyncPopConfig(t, mode, tc.n, tc.sample, 1, 3), 20)
+			})
 		}
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		if !run.Step() {
-			t.Fatal("run ended mid-measurement")
-		}
-	})
-	if avg != 0 {
-		t.Errorf("steady-state async round allocates %v objects, want 0", avg)
 	}
 }

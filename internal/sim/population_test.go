@@ -303,14 +303,30 @@ func TestDeviceSnapshotConservesEnergy(t *testing.T) {
 }
 
 // TestPopulationRoundAllocs pins the zero-alloc steady state of the
-// sampled round path (serial shards: the parallel observe pass spawns
-// goroutines by design, which the benchmark covers instead).
+// synchronous round in both layouts: the sampled population path and
+// the materialized fleet (Sample 0). Serial shards: the parallel
+// observe pass spawns goroutines by design, which the benchmark covers
+// instead.
 func TestPopulationRoundAllocs(t *testing.T) {
-	cfg := popConfig(t, 2000, 512, 1, 3)
+	for _, tc := range []struct {
+		name      string
+		n, sample int
+	}{{"population", 2000, 512}, {"fleet", 200, 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			assertRoundAllocs(t, popConfig(t, tc.n, tc.sample, 1, 3), 3)
+		})
+	}
+}
+
+// assertRoundAllocs steps a run of cfg (with an unreachable target, so
+// it never ends early) through warmup rounds, then fails if a
+// steady-state round allocates.
+func assertRoundAllocs(t *testing.T, cfg sim.Config, warmup int) {
+	t.Helper()
 	cfg.MaxRounds = 1000
 	cfg.TargetAccuracy = 1 // unreachable: the run never ends early
 	run := mustEngine(t, cfg).Start(policy.NewRandom(9))
-	for i := 0; i < 3; i++ {
+	for i := 0; i < warmup; i++ {
 		if !run.Step() {
 			t.Fatal("run ended during warmup")
 		}
@@ -321,7 +337,7 @@ func TestPopulationRoundAllocs(t *testing.T) {
 		}
 	})
 	if avg != 0 {
-		t.Errorf("steady-state population round allocates %v objects, want 0", avg)
+		t.Errorf("steady-state %s round allocates %v objects, want 0", cfg.Mode, avg)
 	}
 }
 
