@@ -221,7 +221,7 @@ func (e *Engine) runRoundAsync(pol Policy, round int, accuracy float64, sc *roun
 	// records for undispatched view rows (observability only; totals
 	// are accounted above).
 	res.EnergyTotalJ += ctx.FleetIdleWatts() * roundSec
-	e.idleRows(ctx, res, roundSec)
+	e.closeRound(ctx, res, roundSec)
 
 	res.Accuracy = e.advance(res, traits)
 	return ctx, res

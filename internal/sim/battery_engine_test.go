@@ -28,22 +28,7 @@ func TestBatteryRoundAllocs(t *testing.T) {
 	// A large cell so depletion never empties the candidate set during
 	// the measurement window.
 	cfg.Battery = &battery.Spec{CapacityJ: 1e7, Harvest: battery.ProfileSolar}
-	cfg.MaxRounds = 1000
-	cfg.TargetAccuracy = 1 // unreachable: the run never ends early
-	run := mustEngine(t, cfg).Start(policy.NewRandom(9))
-	for i := 0; i < 3; i++ {
-		if !run.Step() {
-			t.Fatal("run ended during warmup")
-		}
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		if !run.Step() {
-			t.Fatal("run ended mid-measurement")
-		}
-	})
-	if avg != 0 {
-		t.Errorf("steady-state battery round allocates %v objects, want 0", avg)
-	}
+	assertRoundAllocs(t, cfg, 3)
 }
 
 // TestBatteryMillionDeviceMemoryBudget extends the resident-state pin

@@ -121,41 +121,71 @@ func plateau(roundQuality float64) float64 {
 	return plateauBase + plateauRange/(1+math.Exp(-(roundQuality-plateauMid)/plateauScale))
 }
 
-// convSums accumulates one aggregation's kept updates.
-type convSums struct {
-	mass, qualMass, stability float64
-	count                     int
-	classCount                int    // fleet layout: distinct classes seen
-	mask                      uint64 // population layout: OR-ed class buckets
-}
-
 // advance computes the post-round accuracy from the round's kept
-// updates: the on-time and partial updates of a synchronous round, or
-// the arrivals of an asynchronous one, each weighted by its staleness
-// discount — stale gradients both contribute less and slow effective
-// progress, the staleness penalty of async FedAvg.
+// updates: the on-time and partial updates of a synchronous round,
+// weighted by the share of each update that arrived, or the arrivals
+// of an asynchronous one, weighted by their staleness discount — stale
+// gradients both contribute less and slow effective progress, the
+// staleness penalty of async FedAvg.
 func (e *Engine) advance(res *RoundResult, traits AggregationTraits) float64 {
-	m := e.conv
-	var u convSums
-	if e.pop == nil {
+	m, p := e.conv, e.pop
+	async := e.async != nil
+	if p == nil {
 		clear(m.kept)
 		clear(m.classSeen)
 	}
-	if e.async != nil {
-		for i := range res.Arrivals {
-			ar := &res.Arrivals[i]
-			e.keep(&u, ar.Index, ar.Weight, res.Round, traits)
+	n := len(res.Devices)
+	if async {
+		n = len(res.Arrivals)
+	}
+	mass, qualMass, stability := 0.0, 0.0, 0.0
+	count, classCount := 0, 0
+	var mask uint64
+	for i := 0; i < n; i++ {
+		var g int
+		var frac float64
+		if async {
+			g, frac = res.Arrivals[i].Index, res.Arrivals[i].Weight
+		} else if dr := &res.Devices[i]; dr.UpdateFraction > 0 {
+			g, frac = dr.Index, dr.UpdateFraction
+		} else {
+			continue
 		}
-	} else {
-		for v := range res.Devices {
-			if dr := &res.Devices[v]; dr.UpdateFraction > 0 {
-				e.keep(&u, dr.Index, dr.UpdateFraction, res.Round, traits)
+		// Only where the data and the participation memory live
+		// differs by layout: the fleet reads its partition and the
+		// eagerly swept EMA, the population its packed arrays and the
+		// lazily decayed EMA (O(kept updates) instead of O(fleet)).
+		var samples, q float64
+		if p != nil {
+			samples = float64(p.part.Samples[g])
+			q = float64(p.part.Quality[g])
+			mask |= p.part.Mask[g]
+			stability += p.emaAt(g, res.Round)
+			p.emaBump(g, res.Round)
+		} else {
+			d := &e.partition[g]
+			samples = float64(d.Samples)
+			q = d.IIDQuality()
+			for _, c := range d.Classes {
+				if !m.classSeen[c] {
+					m.classSeen[c] = true
+					classCount++
+				}
 			}
+			m.kept[g] = true
+			stability += m.emaPart[g]
 		}
+		if traits.NormalizedWeights {
+			samples = float64(e.cfg.Workload.Dataset.SamplesPerDevice)
+		}
+		w := frac * float64(e.cfg.Params.E) * samples
+		mass += w
+		qualMass += w * damp(q, traits.DivergenceDamping)
+		count++
 	}
 	var coverage float64
-	if e.pop != nil {
-		coverage = e.pop.part.Coverage(u.mask)
+	if p != nil {
+		coverage = p.part.Coverage(mask)
 	} else {
 		// Update the participation memory for every device. Weights
 		// that decay below the floor reset to zero (no recent
@@ -170,60 +200,25 @@ func (e *Engine) advance(res *RoundResult, traits AggregationTraits) float64 {
 			}
 			m.emaPart[i] = w
 		}
-		coverage = float64(u.classCount) / float64(m.classes)
+		coverage = float64(classCount) / float64(m.classes)
 	}
-	return m.step(e.accRng, res.PrevAccuracy, &u, coverage)
+	return m.step(e.accRng, res.PrevAccuracy, mass, qualMass, stability, count, coverage)
 }
 
-// keep folds one kept update of device g, aggregated with weight frac
-// (its update fraction or staleness discount), into the round's sums.
-// Only where the data and the participation memory live differs by
-// layout: the fleet reads its partition and the eagerly swept EMA, the
-// population its packed arrays and the lazily decayed EMA
-// (O(kept updates) instead of O(fleet)).
-func (e *Engine) keep(u *convSums, g int, frac float64, round int, traits AggregationTraits) {
-	m := e.conv
-	var samples, q float64
-	if p := e.pop; p != nil {
-		samples = float64(p.part.Samples[g])
-		q = float64(p.part.Quality[g])
-		u.mask |= p.part.Mask[g]
-		u.stability += p.emaAt(g, round)
-		p.emaBump(g, round)
-	} else {
-		d := &e.partition[g]
-		samples = float64(d.Samples)
-		q = d.IIDQuality()
-		for _, c := range d.Classes {
-			if !m.classSeen[c] {
-				m.classSeen[c] = true
-				u.classCount++
-			}
-		}
-		m.kept[g] = true
-		u.stability += m.emaPart[g]
-	}
-	if traits.NormalizedWeights {
-		samples = float64(e.cfg.Workload.Dataset.SamplesPerDevice)
-	}
-	w := frac * float64(e.cfg.Params.E) * samples
-	u.mass += w
-	u.qualMass += w * damp(q, traits.DivergenceDamping)
-	u.count++
-}
-
-// step is the convergence tail every layout and regime shares: the
-// round's effective quality sets the reachable ceiling, and accuracy
-// moves toward it along the saturating exponential.
-func (m *convergenceModel) step(s *rng.Stream, acc float64, u *convSums, coverage float64) float64 {
-	if u.mass <= 0 {
+// step is the convergence tail every layout and regime shares. Its
+// inputs are the round's kept update mass, its quality-weighted mass,
+// the summed participation weight of its count kept updates, and class
+// coverage. The round's effective quality sets the reachable ceiling,
+// and accuracy moves toward it along the saturating exponential.
+func (m *convergenceModel) step(s *rng.Stream, acc, mass, qualMass, stability float64, count int, coverage float64) float64 {
+	if mass <= 0 {
 		return acc // nothing aggregated; the model is unchanged
 	}
-	meanQ := u.qualMass / u.mass
-	// stability is the mean recent-participation weight of today's
+	meanQ := qualMass / mass
+	// stability becomes the mean recent-participation weight of today's
 	// cohort: ~1 for a fixed cohort, ~K/N for population resampling,
 	// and in between for rotation within a stable pool.
-	stability := u.stability / float64(u.count)
+	stability /= float64(count)
 	if stability > 1 {
 		stability = 1
 	}
@@ -238,7 +233,7 @@ func (m *convergenceModel) step(s *rng.Stream, acc float64, u *convSums, coverag
 
 	// Per-round progress rate: diminishing returns in mass, slowed by
 	// client drift, jittered by SGD noise.
-	rate := m.baseRate * math.Pow(u.mass/m.referenceMass, massExponent)
+	rate := m.baseRate * math.Pow(mass/m.referenceMass, massExponent)
 	rate *= math.Pow(roundQ, qualityRateExp)
 	rate *= 1 + s.Normal(0, m.noiseSigma)
 	if rate < 0 {

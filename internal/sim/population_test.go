@@ -337,7 +337,7 @@ func assertRoundAllocs(t *testing.T, cfg sim.Config, warmup int) {
 		}
 	})
 	if avg != 0 {
-		t.Errorf("steady-state %s round allocates %v objects, want 0", cfg.Mode, avg)
+		t.Errorf("steady-state round allocates %v objects, want 0", avg)
 	}
 }
 

@@ -925,7 +925,7 @@ func (e *Engine) runRound(pol Policy, round int, accuracy float64, sc *roundScra
 		partIdle += idle
 		e.charge(dr, dr.EnergyJ-idle)
 	}
-	e.idleRows(ctx, res, roundSec)
+	rowsJ, rowsPartJ := e.closeRound(ctx, res, roundSec)
 	if p := e.pop; p != nil {
 		// Fleet-wide energy in O(participants): the population idle
 		// draw for the round, minus the participants' own idle share,
@@ -937,13 +937,7 @@ func (e *Engine) runRound(pol Policy, round int, accuracy float64, sc *roundScra
 		// order (Eq 6 over all N devices). The idle-base arithmetic
 		// above rounds differently, so moving the fleet onto it would
 		// change the bytes of every fleet experiment.
-		for i := range res.Devices {
-			dr := &res.Devices[i]
-			res.EnergyTotalJ += dr.EnergyJ
-			if dr.Selected {
-				res.EnergyParticipantsJ += dr.EnergyJ
-			}
-		}
+		res.EnergyTotalJ, res.EnergyParticipantsJ = rowsJ, rowsPartJ
 	}
 	res.Accuracy = e.advance(res, traits)
 	return ctx, res
@@ -1047,14 +1041,20 @@ func (e *Engine) charge(dr *DeviceRound, extraJ float64) {
 	}
 }
 
-// idleRows closes a round of roundSec for its non-participants: each
-// unselected view row's idle-energy record, the population's idle-time
-// integral, and the battery fairness index.
-func (e *Engine) idleRows(ctx *RoundContext, res *RoundResult, roundSec float64) {
+// closeRound closes a round of roundSec once its participants are
+// charged: the idle-energy record of each unselected view row, the
+// population's idle-time integral, and the battery fairness index. It
+// returns the rows' energy and their participants' energy, each summed
+// in row order, which is the materialized fleet's energy accounting.
+func (e *Engine) closeRound(ctx *RoundContext, res *RoundResult, roundSec float64) (rowsJ, rowsPartJ float64) {
 	for v := range res.Devices {
-		if dr := &res.Devices[v]; !dr.Selected {
+		dr := &res.Devices[v]
+		if dr.Selected {
+			rowsPartJ += dr.EnergyJ
+		} else {
 			dr.EnergyJ = power.IdleEnergy(ctx.Devices[v].Device.Spec.IdleWatts(), roundSec)
 		}
+		rowsJ += dr.EnergyJ
 	}
 	if e.pop != nil {
 		e.pop.idleSec += roundSec
@@ -1062,6 +1062,7 @@ func (e *Engine) idleRows(ctx *RoundContext, res *RoundResult, roundSec float64)
 	if e.batt != nil {
 		res.ParticipationJain = e.batt.jain()
 	}
+	return rowsJ, rowsPartJ
 }
 
 // resolveBarrier resolves one bulk-synchronous aggregation barrier
