@@ -1,9 +1,10 @@
-// Benchmarks: one entry point per reproduced table/figure (see the
-// per-experiment index in DESIGN.md), plus microbenchmarks for the
+// Benchmarks: one entry point per reproduced table/figure (`autofl-bench
+// -list` prints the experiment ids; the README maps them to the paper),
+// plus microbenchmarks for the
 // §6.4 overhead analysis. Figure benchmarks exercise the same code
 // paths as cmd/autofl-bench at a reduced scale (smaller fleet, shorter
-// horizon) so `go test -bench=.` stays fast; the full-scale numbers
-// live in EXPERIMENTS.md.
+// horizon) so `go test -bench=.` stays fast; `go run ./cmd/autofl-bench`
+// prints the full-scale numbers.
 package autofl
 
 import (
